@@ -57,6 +57,18 @@ mod sink_impl;
 pub mod supervisor;
 pub mod transport;
 
+/// splitmix64, the one deterministic mixer behind pp-core's jittered
+/// backoffs (the supervisor's retry schedule and the transport client's
+/// reconnects) and the same generator the workloads crate streams from.
+/// Retry schedules are thereby a closed-form function of (seed,
+/// attempt) on every host, and tests assert them exactly.
+pub(crate) fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 pub use analysis::{ContextPathStat, HotPathReport, HotProcReport, PathClass, PathStat, ProcStat};
 pub use chaos::{ChaosProxy, Fault, FaultPlan};
 pub use error::PpError;

@@ -359,16 +359,27 @@ impl Profiler {
         recorder: R,
     ) -> Result<RunOutcome, ProfileError> {
         let (inst, mut sink) = self.profile_parts(program, options, cct_override, recorder)?;
+        // An observed run traces blocks, so the engine counters can be
+        // projected from the block counts after the run.
+        let machine_config = MachineConfig {
+            trace_blocks: self.machine_config.trace_blocks || R::ENABLED,
+            ..self.machine_config
+        };
         let mut machine = {
             let _span = pp_obs::span!("decode");
-            Machine::new(&inst.program, self.machine_config)
+            Machine::new(&inst.program, machine_config)
         };
         machine.inject_faults(self.fault_plan);
         machine.set_limits(self.limits.clone());
         // On a machine fault the sink still holds everything collected up
         // to the fault; recover it rather than discarding the run.
         let _span = pp_obs::span!("simulate");
-        let (machine, fault) = match machine.run(&mut sink) {
+        let result = machine.run(&mut sink);
+        if R::ENABLED {
+            machine.engine_counters().record_to(&mut sink.recorder);
+            sink.fold();
+        }
+        let (machine, fault) = match result {
             Ok(r) => (r, None),
             Err(e) => (machine.partial_result(), Some(e)),
         };
@@ -425,14 +436,7 @@ impl Profiler {
             CctRuntime::new(cct_config, procs)
         });
 
-        Ok((
-            inst,
-            PpSink {
-                flow,
-                cct,
-                recorder,
-            },
-        ))
+        Ok((inst, PpSink::new(flow, cct, recorder)))
     }
 
     /// Like [`Profiler::run`], but executing on the pre-predecoding
@@ -496,7 +500,9 @@ impl Profiler {
         let mut machine = ReferenceMachine::new(&inst.program, self.machine_config);
         machine.inject_faults(self.fault_plan);
         let _span = pp_obs::span!("simulate.reference");
-        let (machine, fault) = match machine.run(&mut sink) {
+        let result = machine.run(&mut sink);
+        sink.fold();
+        let (machine, fault) = match result {
             Ok(r) => (r, None),
             Err(e) => (machine.partial_result(), Some(e)),
         };
@@ -555,6 +561,58 @@ mod tests {
         l.block(x).ret();
         l.finish();
         pb.finish(main)
+    }
+
+    /// Counts recorder calls, whatever they record.
+    #[derive(Default)]
+    struct CallCounter(u64);
+
+    impl Recorder for CallCounter {
+        fn counter(&mut self, _: &'static str, _: u64) {
+            self.0 += 1;
+        }
+
+        fn gauge(&mut self, _: &'static str, _: f64) {
+            self.0 += 1;
+        }
+
+        fn observe(&mut self, _: &'static str, _: u64) {
+            self.0 += 1;
+        }
+
+        fn histogram(&mut self, _: &'static str, _: &pp_obs::Hist) {
+            self.0 += 1;
+        }
+    }
+
+    /// The observation-overhead gate: an observed run records its
+    /// internals once, after the run, so the number of recorder calls
+    /// does not grow with the run. A per-event record on the hot path
+    /// fails this on any host, with no wall-clock bound.
+    #[test]
+    fn observed_runs_make_a_constant_number_of_recorder_calls() {
+        let calls = |scale: f64| {
+            // A program whose run length follows the scale (the CINT
+            // programs sit at the kernel-iteration floor at both).
+            let spec = pp_workloads::spec_for("104.hydro2d")
+                .expect("known")
+                .scaled(scale);
+            let prog = pp_workloads::build(&spec);
+            let mut rec = CallCounter::default();
+            let config = RunConfig::CombinedHw {
+                events: (HwEvent::Insts, HwEvent::DcMiss),
+            };
+            let run = Profiler::default()
+                .run_observed(&prog, config, &mut rec)
+                .expect("run")
+                .expect_complete();
+            (rec.0, run.machine.uops)
+        };
+        let (short_calls, short_uops) = calls(0.05);
+        let (long_calls, long_uops) = calls(0.2);
+        assert!(long_uops > 3 * short_uops, "{short_uops} vs {long_uops}");
+        assert!(short_calls > 0);
+        assert_eq!(short_calls, long_calls);
     }
 
     #[test]

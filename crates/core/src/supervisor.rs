@@ -51,6 +51,7 @@ use pp_usim::{CancelToken, ExecError, FaultPlan, LimitKind};
 
 use crate::error::PpError;
 use crate::profiler::{ProfileError, Profiler, RunConfig, RunOutcome};
+use crate::splitmix64;
 use manifest::{BatchManifest, JobEntry, JobStatus, ProfileRef};
 
 /// Name prefix of supervisor worker threads (the panic hook suppresses
@@ -1198,16 +1199,6 @@ pub(crate) fn write_quarantine(
         )?;
     }
     Ok(())
-}
-
-/// splitmix64 — the same generator the workloads crate uses for its
-/// deterministic streams; inlined here so `pp-core` stays independent of
-/// `pp-workloads`.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Wraps the global panic hook (once) so caught panics on supervisor

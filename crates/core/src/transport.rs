@@ -41,6 +41,7 @@ use pp_obs::json::{self, Json};
 
 use crate::error::PpError;
 use crate::service::AdmitError;
+use crate::splitmix64;
 
 /// Bound on one NDJSON frame in either direction; longer lines earn a
 /// typed `frame-too-large` reply server-side and are discarded up to
@@ -266,16 +267,6 @@ impl Write for Stream {
 // ---------------------------------------------------------------------
 // Retry policy
 // ---------------------------------------------------------------------
-
-/// splitmix64 — the same deterministic stream the supervisor's backoff
-/// jitter draws from, so retry schedules are a closed-form function of
-/// (seed, attempt) and tests can assert them exactly.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Deterministic jittered exponential backoff for client reconnects,
 /// mirroring `JobExecutor::backoff`: attempt `a` (1-based) sleeps

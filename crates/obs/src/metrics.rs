@@ -21,6 +21,11 @@ use std::fmt::Write as _;
 /// Sink for internals metrics. All methods have no-op defaults so
 /// recorders only implement what they keep.
 pub trait Recorder {
+    /// False only for recorders that keep nothing ([`NoopRecorder`]).
+    /// Instrumented code tests it to skip tallies whose only purpose is
+    /// to be recorded; the test is a constant, so it compiles away.
+    const ENABLED: bool = true;
+
     /// Adds `delta` to the named monotonic counter.
     #[inline(always)]
     fn counter(&mut self, name: &'static str, delta: u64) {
@@ -38,15 +43,27 @@ pub trait Recorder {
     fn observe(&mut self, name: &'static str, value: u64) {
         let _ = (name, value);
     }
+
+    /// Folds a histogram of observations made elsewhere into the named
+    /// histogram — the same result as observing each of its values in
+    /// turn, in one call.
+    #[inline(always)]
+    fn histogram(&mut self, name: &'static str, hist: &Hist) {
+        let _ = (name, hist);
+    }
 }
 
 /// The default recorder: keeps nothing, compiles to nothing.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct NoopRecorder;
 
-impl Recorder for NoopRecorder {}
+impl Recorder for NoopRecorder {
+    const ENABLED: bool = false;
+}
 
 impl<R: Recorder> Recorder for &mut R {
+    const ENABLED: bool = R::ENABLED;
+
     #[inline(always)]
     fn counter(&mut self, name: &'static str, delta: u64) {
         (**self).counter(name, delta);
@@ -60,6 +77,11 @@ impl<R: Recorder> Recorder for &mut R {
     #[inline(always)]
     fn observe(&mut self, name: &'static str, value: u64) {
         (**self).observe(name, value);
+    }
+
+    #[inline(always)]
+    fn histogram(&mut self, name: &'static str, hist: &Hist) {
+        (**self).histogram(name, hist);
     }
 }
 
@@ -161,6 +183,13 @@ impl Recorder for Registry {
 
     fn observe(&mut self, name: &'static str, value: u64) {
         self.hists.entry(name).or_default().observe(value);
+    }
+
+    fn histogram(&mut self, name: &'static str, hist: &Hist) {
+        // An empty fold observes nothing, so it must not create the entry.
+        if hist.count > 0 {
+            self.hists.entry(name).or_default().absorb(hist);
+        }
     }
 }
 
@@ -370,6 +399,23 @@ mod tests {
         let mut reg = Registry::new();
         record(&mut reg);
         assert_eq!(reg.counter_value("x"), 7);
+        const { assert!(<&mut Registry as Recorder>::ENABLED) };
+        const { assert!(!<&mut NoopRecorder as Recorder>::ENABLED) };
+    }
+
+    #[test]
+    fn histogram_fold_equals_observing_each_value() {
+        let mut one_by_one = Registry::new();
+        let mut folded = Registry::new();
+        let mut h = Hist::default();
+        for v in [3, 0, 17, 1 << 40] {
+            one_by_one.observe("h", v);
+            h.observe(v);
+        }
+        folded.histogram("h", &h);
+        folded.histogram("empty", &Hist::default());
+        assert_eq!(one_by_one.snapshot(), folded.snapshot());
+        assert!(folded.hist("empty").is_none());
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! `reference` feature keeps that interpreter alive as a differential
 //! oracle).
 
+use std::ops::Range;
+
 use pp_ir::instr::{BinOp, FBinOp};
 use pp_ir::{
     BlockId, CallTarget, FReg, HwEvent, Instr, Operand, ProcId, ProfOp, Program, Reg, Terminator,
@@ -360,6 +362,25 @@ pub(crate) enum MicroOp {
 const _: () = assert!(std::mem::size_of::<MicroOp>() <= 24);
 
 impl MicroOp {
+    /// True for superinstructions (their mnemonics join the fused
+    /// constituents with `+`).
+    pub(crate) fn is_fused(&self) -> bool {
+        self.mnemonic().contains('+')
+    }
+
+    /// True for the ops whose handlers are outlined off the hot loop
+    /// (counter control and non-local returns).
+    pub(crate) fn is_cold(&self) -> bool {
+        matches!(
+            self,
+            MicroOp::SetPcr { .. }
+                | MicroOp::RdPic { .. }
+                | MicroOp::WrPic { .. }
+                | MicroOp::Setjmp { .. }
+                | MicroOp::Longjmp { .. }
+        )
+    }
+
     /// Short stable name, the key the meta-profile records frequencies
     /// under (`uop.<mnemonic>` / `pair.<a>+<b>` counters).
     pub(crate) fn mnemonic(&self) -> &'static str {
@@ -543,13 +564,7 @@ impl DecodedProgram {
     pub(crate) fn fuse(&mut self) {
         let mut fused = Vec::with_capacity(self.ops.len());
         for bi in 0..self.blocks.len() {
-            // Blocks are lowered in dense order, so block `bi`'s ops are
-            // exactly `[first_op[bi], first_op[bi + 1])`.
-            let start = self.blocks[bi].first_op as usize;
-            let end = self
-                .blocks
-                .get(bi + 1)
-                .map_or(self.ops.len(), |b| b.first_op as usize);
+            let Range { start, end } = self.block_ops(bi);
             self.blocks[bi].first_op = fused.len() as u32;
             let mut r = start;
             while r < end {
@@ -576,6 +591,18 @@ impl DecodedProgram {
         self.ops = fused;
     }
 
+    /// The arena range of dense block `bi`'s micro-ops. Blocks are
+    /// lowered in dense order, so block `bi`'s ops are exactly
+    /// `[first_op[bi], first_op[bi + 1])`.
+    pub(crate) fn block_ops(&self, bi: usize) -> Range<usize> {
+        let start = self.blocks[bi].first_op as usize;
+        let end = self
+            .blocks
+            .get(bi + 1)
+            .map_or(self.ops.len(), |b| b.first_op as usize);
+        start..end
+    }
+
     /// The call argument list a [`TableRange`] names.
     #[inline]
     pub(crate) fn args(&self, r: TableRange) -> &[Operand] {
@@ -597,10 +624,7 @@ impl DecodedProgram {
     /// are exactly the `+`-joined ones, so the check needs no variant
     /// list to keep in sync.
     pub fn num_fused_ops(&self) -> usize {
-        self.ops
-            .iter()
-            .filter(|op| op.mnemonic().contains('+'))
-            .count()
+        self.ops.iter().filter(|op| op.is_fused()).count()
     }
 
     /// Number of blocks in the dense `(proc, block)` numbering.

@@ -72,7 +72,7 @@ pub use layout::CodeLayout;
 pub use limits::{CancelToken, GuestLimits, LimitKind, DEFAULT_CHECK_INTERVAL};
 pub use machine::{CounterNote, ExecError, Machine, RunResult};
 pub use mem::Memory;
-pub use meta::MetaProfile;
+pub use meta::{EngineCounters, MetaProfile};
 pub use metrics::HwMetrics;
 pub use predict::{BranchPredictor, TargetPredictor};
 pub use sink::{CctTransition, NullSink, ProfSink, RecordingSink, SinkEvent};

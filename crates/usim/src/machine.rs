@@ -17,7 +17,7 @@
 //! [`crate::reference::ReferenceMachine`] behind the `reference` feature
 //! and backs the differential test suite.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -31,6 +31,7 @@ use crate::decode::{BlockIdx, DecodedProgram, MicroOp};
 use crate::fault::{FaultLog, FaultPlan};
 use crate::layout::CodeLayout;
 use crate::limits::{CancelToken, GuestLimits, LimitKind};
+use crate::meta::EngineCounters;
 use crate::metrics::HwMetrics;
 use crate::predict::{BranchPredictor, TargetPredictor};
 use crate::sink::ProfSink;
@@ -251,6 +252,14 @@ pub struct Machine<'p> {
     setjmps: Vec<(usize, ProcId, BlockIdx, u32)>,
     /// Dense per-block execution counts, indexed by [`BlockIdx`].
     block_counts: Vec<u64>,
+    /// Corrections to projecting `block_counts` through whole block
+    /// bodies: `(block, from) -> n` means the block's micro-ops from
+    /// arena offset `from` to its end ran `n` more times than the block
+    /// was entered (negative when a longjmp or an error cut the block
+    /// short, positive when a longjmp resumed it mid-block). Kept only
+    /// when [`MachineConfig::trace_blocks`] is set, and only on cold
+    /// paths.
+    suffix_adjust: BTreeMap<(BlockIdx, u32), i64>,
     /// Inline caches for indirect call sites, indexed by the site's
     /// decode-assigned `ic`. Each entry holds the last *validated* target
     /// register value encoded as `value + 1` (0 = empty), so one compare
@@ -321,6 +330,7 @@ impl<'p> Machine<'p> {
             freg_base: 0,
             setjmps: Vec::new(),
             block_counts: vec![0; num_blocks],
+            suffix_adjust: BTreeMap::new(),
             icall_ic: vec![0; num_icall_sites],
             argv_scratch: Vec::new(),
             fault: FaultPlan::default(),
@@ -404,6 +414,19 @@ impl<'p> Machine<'p> {
     /// path.
     pub(crate) fn block_counts_dense(&self) -> &[u64] {
         &self.block_counts
+    }
+
+    /// The block-suffix corrections to [`Machine::block_counts_dense`]
+    /// (see the `suffix_adjust` field).
+    pub(crate) fn suffix_adjustments(&self) -> &BTreeMap<(BlockIdx, u32), i64> {
+        &self.suffix_adjust
+    }
+
+    /// The engine counters of the run so far (or of the run up to its
+    /// fault), projected from the block counts — all zero unless
+    /// [`MachineConfig::trace_blocks`] is set.
+    pub fn engine_counters(&self) -> EngineCounters {
+        EngineCounters::project(self)
     }
 
     // ----- event plumbing -------------------------------------------------
@@ -742,15 +765,18 @@ impl<'p> Machine<'p> {
         self.set_reg(dst, token);
     }
 
-    /// Returns the resume arena offset (the new `ip`).
+    /// Returns the resume arena offset (the new `ip`); `ip` is the live
+    /// frame's next micro-op after the `Longjmp`.
     #[cold]
     #[inline(never)]
     fn exec_longjmp<S: ProfSink + ?Sized>(
         &mut self,
         d: &DecodedProgram,
         token: Reg,
+        ip: u32,
         sink: &mut S,
     ) -> Result<u32, ExecError> {
+        self.frames.last_mut().expect("live frame").ip = ip;
         self.uop();
         let v = self.reg(token);
         let &(depth, proc, block, resume_ip) = self
@@ -764,6 +790,14 @@ impl<'p> Machine<'p> {
         // window).
         if depth > self.frames.len() || self.frames[depth - 1].proc != proc {
             return Err(ExecError::BadJumpToken { value: v });
+        }
+        if self.config.trace_blocks {
+            // Every frame from the landing one up left its block
+            // part-way; the landing block then resumes mid-block.
+            for f in &self.frames[depth - 1..] {
+                *self.suffix_adjust.entry((f.block, f.ip)).or_default() -= 1;
+            }
+            *self.suffix_adjust.entry((block, resume_ip)).or_default() += 1;
         }
         // Unwind costs a few cycles per frame popped.
         let popped = self.frames.len() - depth;
@@ -785,14 +819,20 @@ impl<'p> Machine<'p> {
     /// `stop` bound trips — hard limits are disambiguated here, slow
     /// checks (deadline, cancellation, memory) run, and the next `stop`
     /// is returned.
+    ///
+    /// `ip` is the live frame's next micro-op; it is synced into the
+    /// frame here, off the per-µop path, so a run stopped by a limit
+    /// still tells the block-count projection where it stopped.
     #[cold]
     #[inline(never)]
     fn limit_checkpoint(
         &mut self,
+        ip: u32,
         hard_stop: u64,
         check_interval: u64,
         deadline_at: Option<(Instant, u64)>,
     ) -> Result<u64, ExecError> {
+        self.frames.last_mut().expect("live frame").ip = ip;
         if self.uops() >= hard_stop {
             if self.uops() >= self.config.max_instructions {
                 return Err(ExecError::InstructionLimit);
@@ -889,6 +929,13 @@ impl<'p> Machine<'p> {
         } else {
             self.run_inner::<S, false>(&d, sink, None)
         };
+        if res.is_err() && self.config.trace_blocks {
+            // Every live frame stopped part-way through its block (the
+            // error paths synced the top frame's `ip`).
+            for f in &self.frames {
+                *self.suffix_adjust.entry((f.block, f.ip)).or_default() -= 1;
+            }
+        }
         self.decoded = d;
         res
     }
@@ -939,7 +986,7 @@ impl<'p> Machine<'p> {
         // rather than re-testing the frame stack every micro-op.
         'run: loop {
             if self.uops() >= stop {
-                stop = self.limit_checkpoint(hard_stop, check_interval, deadline_at)?;
+                stop = self.limit_checkpoint(ip, hard_stop, check_interval, deadline_at)?;
                 continue 'run;
             }
             if SAMPLED && self.now() >= next_sample {
@@ -987,7 +1034,6 @@ impl<'p> Machine<'p> {
                     taken,
                     not_taken,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // Nothing between the halves reads the clock, so one
                     // batched charge is identical to two single ones.
                     self.uops_n(2);
@@ -1012,7 +1058,6 @@ impl<'p> Machine<'p> {
                     taken,
                     not_taken,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uops_n(2);
                     let v = bin_eval(*op, self.reg(*a), *imm);
                     self.set_reg(*dst, v);
@@ -1034,7 +1079,6 @@ impl<'p> Machine<'p> {
                     b,
                     target,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uops_n(2);
                     let v = bin_eval(*op, self.reg(*a), self.reg(*b));
                     self.set_reg(*dst, v);
@@ -1047,7 +1091,6 @@ impl<'p> Machine<'p> {
                     imm,
                     target,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uops_n(2);
                     let v = bin_eval(*op, self.reg(*a), *imm);
                     self.set_reg(*dst, v);
@@ -1062,7 +1105,6 @@ impl<'p> Machine<'p> {
                     a,
                     b,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uops_n(2);
                     let addr = (self.reg(*base) as u64).wrapping_add(*offset);
                     self.dread(addr);
@@ -1084,7 +1126,6 @@ impl<'p> Machine<'p> {
                     a2,
                     b2,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // `fp_issue` reads the current cycle count, so each
                     // half issues at exactly the cycle it would unfused.
                     self.uop();
@@ -1128,7 +1169,6 @@ impl<'p> Machine<'p> {
                     a2,
                     imm2,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // Counter updates are wrapping adds and nothing here
                     // reads the clock, so one batched charge is identical
                     // to two single ones (`uops_n`'s contract).
@@ -1150,7 +1190,6 @@ impl<'p> Machine<'p> {
                     a2,
                     imm2,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uops_n(2);
                     let v = bin_eval(*op1, self.reg(*a1), self.reg(*b1));
                     self.set_reg(*dst1, v);
@@ -1167,7 +1206,6 @@ impl<'p> Machine<'p> {
                     a2,
                     b2,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uops_n(2);
                     let x = self.reg(*a1);
                     self.set_reg(*dst1, bin_eval(*op1, x, i64::from(*imm1)));
@@ -1188,7 +1226,6 @@ impl<'p> Machine<'p> {
                     a3,
                     b3,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // `fp_issue` reads the clock, so each link charges its
                     // own micro-op before issuing — no batching here.
                     for (op, dst, a, b) in [
@@ -1222,7 +1259,6 @@ impl<'p> Machine<'p> {
                     a,
                     b,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // The only clock read (`fp_issue`) happens after both
                     // micro-ops complete unfused, so batching is exact.
                     self.uops_n(2);
@@ -1254,7 +1290,6 @@ impl<'p> Machine<'p> {
                     base,
                     offset,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // `fp_issue` reads the clock between the halves, so
                     // each charges separately.
                     self.uop();
@@ -1287,7 +1322,6 @@ impl<'p> Machine<'p> {
                     base,
                     offset,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uops_n(2);
                     let x = self.reg(*a);
                     self.set_reg(*dst, bin_eval(*op, x, i64::from(*imm)));
@@ -1307,7 +1341,6 @@ impl<'p> Machine<'p> {
                     base,
                     offset,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // `dwrite` reads the clock, but only after both
                     // micro-ops would have charged unfused — batch.
                     self.uops_n(2);
@@ -1324,7 +1357,6 @@ impl<'p> Machine<'p> {
                     offset,
                     target,
                 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // `dwrite` reads the clock *between* the halves here
                     // (store first), so each charges separately.
                     self.uop();
@@ -1336,7 +1368,6 @@ impl<'p> Machine<'p> {
                     ip = self.goto(d, *target);
                 }
                 MicroOp::FusedProfProf { p1, p2 } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     // Profiling semantics replay strictly in order; each
                     // pseudo-op does its own (clock-reading) accounting.
                     let op = d.prof_ops[*p1 as usize];
@@ -1345,14 +1376,12 @@ impl<'p> Machine<'p> {
                     self.exec_prof(op, sink);
                 }
                 MicroOp::FusedProfJump { p, target } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     let op = d.prof_ops[*p as usize];
                     self.exec_prof(op, sink);
                     self.uop();
                     ip = self.goto(d, *target);
                 }
                 MicroOp::FusedBinIProf { op, dst, a, imm, p } => {
-                    sink.obs_counter("dispatch.fused_hit", 1);
                     self.uop();
                     let x = self.reg(*a);
                     self.set_reg(*dst, bin_eval(*op, x, i64::from(*imm)));
@@ -1447,13 +1476,16 @@ impl<'p> Machine<'p> {
                     if *slot == key {
                         // Monomorphic hit: `key` was range-checked when it
                         // was installed, so the target is valid.
-                        sink.obs_counter("call.ic_hit", 1);
+                        sink.icall_cache(true);
                     } else {
                         if v < 0 || v as usize >= d.procs.len() {
+                            // Error paths sync the live frame's `ip` so the
+                            // block-count projection knows where it stopped.
+                            self.frames.last_mut().expect("live frame").ip = ip;
                             return Err(ExecError::BadIndirectTarget { value: v });
                         }
                         *slot = key;
-                        sink.obs_counter("call.ic_miss", 1);
+                        sink.icall_cache(false);
                     }
                     self.frames.last_mut().expect("live frame").ip = ip;
                     ip = self.call_with(d, ProcId(v as u32), d.args(*args), *ret)?;
@@ -1462,26 +1494,11 @@ impl<'p> Machine<'p> {
                 // cold tail of the meta-profile (every one of them is
                 // below 0.1% of dynamic dispatches); their handlers are
                 // outlined so the hot loop's code stays compact.
-                MicroOp::SetPcr { pic0, pic1 } => {
-                    sink.obs_counter("dispatch.cold_taken", 1);
-                    self.exec_setpcr(*pic0, *pic1);
-                }
-                MicroOp::RdPic { dst } => {
-                    sink.obs_counter("dispatch.cold_taken", 1);
-                    self.exec_rdpic(*dst);
-                }
-                MicroOp::WrPic { src } => {
-                    sink.obs_counter("dispatch.cold_taken", 1);
-                    self.exec_wrpic(*src);
-                }
-                MicroOp::Setjmp { dst } => {
-                    sink.obs_counter("dispatch.cold_taken", 1);
-                    self.exec_setjmp(*dst, ip);
-                }
-                MicroOp::Longjmp { token } => {
-                    sink.obs_counter("dispatch.cold_taken", 1);
-                    ip = self.exec_longjmp(d, *token, sink)?;
-                }
+                MicroOp::SetPcr { pic0, pic1 } => self.exec_setpcr(*pic0, *pic1),
+                MicroOp::RdPic { dst } => self.exec_rdpic(*dst),
+                MicroOp::WrPic { src } => self.exec_wrpic(*src),
+                MicroOp::Setjmp { dst } => self.exec_setjmp(*dst, ip),
+                MicroOp::Longjmp { token } => ip = self.exec_longjmp(d, *token, ip, sink)?,
                 MicroOp::Prof(i) => {
                     let op = d.prof_ops[*i as usize];
                     self.exec_prof(op, sink);
@@ -2440,15 +2457,44 @@ mod tests {
         assert_eq!(plain.pics, limited.pics);
     }
 
-    /// Sink that collects only engine observability counters; every
+    /// Sink that counts indirect-call inline-cache lookups; every
     /// profiling event uses the (no-op) trait defaults.
     #[derive(Default)]
-    struct ObsSink(std::collections::BTreeMap<&'static str, u64>);
+    struct IcSink {
+        hits: u64,
+        misses: u64,
+    }
 
-    impl crate::sink::ProfSink for ObsSink {
-        fn obs_counter(&mut self, name: &'static str, delta: u64) {
-            *self.0.entry(name).or_insert(0) += delta;
+    impl crate::sink::ProfSink for IcSink {
+        fn icall_cache(&mut self, hit: bool) {
+            if hit {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+            }
         }
+    }
+
+    fn traced() -> MachineConfig {
+        MachineConfig {
+            trace_blocks: true,
+            ..MachineConfig::default()
+        }
+    }
+
+    /// The engine counters of a traced run of `prog`, plus its outcome.
+    fn engine_run(
+        prog: &Program,
+        limits: GuestLimits,
+    ) -> (EngineCounters, Result<RunResult, ExecError>) {
+        let mut m = Machine::new(prog, traced());
+        m.set_limits(limits);
+        let res = m.run(&mut NullSink);
+        (m.engine_counters(), res)
+    }
+
+    fn fused(pairs: &[(&'static str, u64)]) -> std::collections::BTreeMap<&'static str, u64> {
+        pairs.iter().copied().collect()
     }
 
     fn counting_loop() -> Program {
@@ -2486,30 +2532,43 @@ mod tests {
     #[test]
     fn fused_dispatch_is_observable_and_does_not_perturb_the_run() {
         let prog = counting_loop();
+        let m = Machine::new(&prog, MachineConfig::default());
+        let arena: Vec<_> = m.decoded.ops.iter().map(MicroOp::mnemonic).collect();
+        assert_eq!(
+            arena,
+            ["mov", "jump", "bini+branch", "bini+jump", "ret"],
+            "the loop header and body each fuse into one superinstruction"
+        );
 
-        let mut obs = ObsSink::default();
-        let mut m = Machine::new(&prog, MachineConfig::default());
-        let fused = m.run(&mut obs).expect("run");
-        let hits = obs.0.get("dispatch.fused_hit").copied().unwrap_or(0);
-        assert!(hits > 0, "hot loop should dispatch superinstructions");
+        // The header runs 101 times, the body 100 times.
+        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        let observed = res.expect("run");
+        assert_eq!(
+            engine.fused,
+            fused(&[("bini+branch", 101), ("bini+jump", 100)])
+        );
+        assert_eq!(engine.fused_hit(), 201);
+        assert_eq!(engine.cold_taken, 0);
 
-        // Observability counters describe the host interpreter only:
-        // the simulated run — fused, unfused, with or without a
-        // counter-collecting sink — is bit-for-bit the same.
+        // Engine counters describe the host interpreter only: the
+        // simulated run — fused, unfused, block-traced or not — is bit
+        // for bit the same.
         let mut m = Machine::new(&prog, MachineConfig::default());
         let silent = m.run(&mut NullSink).expect("run");
+        assert_eq!(m.engine_counters(), EngineCounters::default());
         let mut m = Machine::new(
             &prog,
             MachineConfig {
                 no_fuse: true,
-                ..MachineConfig::default()
+                ..traced()
             },
         );
         let unfused = m.run(&mut NullSink).expect("run");
+        assert_eq!(m.engine_counters(), EngineCounters::default());
         for other in [&silent, &unfused] {
-            assert_eq!(fused.uops, other.uops);
-            assert_eq!(fused.metrics, other.metrics);
-            assert_eq!(fused.pics, other.pics);
+            assert_eq!(observed.uops, other.uops);
+            assert_eq!(observed.metrics, other.metrics);
+            assert_eq!(observed.pics, other.pics);
         }
     }
 
@@ -2541,12 +2600,11 @@ mod tests {
         g.finish();
         let prog = pb.finish(main);
 
-        let mut obs = ObsSink::default();
+        let mut ic = IcSink::default();
         let mut m = Machine::new(&prog, MachineConfig::default());
-        m.run(&mut obs).expect("run");
+        m.run(&mut ic).expect("run");
         // One miss installs the cache line; the same target hits after.
-        assert_eq!(obs.0.get("call.ic_miss").copied(), Some(1));
-        assert_eq!(obs.0.get("call.ic_hit").copied(), Some(4));
+        assert_eq!((ic.misses, ic.hits), (1, 4));
     }
 
     #[test]
@@ -2558,9 +2616,156 @@ mod tests {
         f.block(e).rdpic(r).ret();
         let id = f.finish();
         let prog = pb.finish(id);
-        let mut obs = ObsSink::default();
-        let mut m = Machine::new(&prog, MachineConfig::default());
-        m.run(&mut obs).expect("run");
-        assert_eq!(obs.0.get("dispatch.cold_taken").copied(), Some(1));
+        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        res.expect("run");
+        assert_eq!(engine.cold_taken, 1);
+        assert!(engine.fused.is_empty());
+    }
+
+    #[test]
+    fn longjmp_across_frames_drops_the_callers_unexecuted_suffixes() {
+        // main setjmps, then calls mid, which calls thrower, which
+        // longjmps back to main. Every call site is followed by a fused
+        // op that never runs, and so is the longjmp itself.
+        let mut pb = ProgramBuilder::new();
+        let mid = pb.declare("mid");
+        let thrower = pb.declare("thrower");
+        let mut f = pb.procedure("main");
+        let e = f.entry_block();
+        let after = f.new_block();
+        let call_block = f.new_block();
+        let thrown = f.new_block();
+        let tok = f.new_reg();
+        let flag = f.new_reg();
+        let a = f.new_reg();
+        let b = f.new_reg();
+        f.block(e).mov(flag, 0i64).setjmp(tok).jump(after);
+        f.block(after).branch(flag, thrown, call_block);
+        f.block(call_block)
+            .mov(flag, 1i64)
+            .call(mid, vec![Operand::Reg(tok)], None)
+            .add(a, a, 1i64)
+            .add(b, b, 1i64)
+            .ret();
+        f.block(thrown).ret();
+        let main = f.finish();
+        for (id, callee) in [(mid, Some(thrower)), (thrower, None)] {
+            let mut p = pb.procedure_for(id);
+            let pe = p.entry_block();
+            p.reserve_regs(1);
+            let x = p.new_reg();
+            let y = p.new_reg();
+            let mut blk = p.block(pe);
+            match callee {
+                Some(c) => blk.call(c, vec![Operand::Reg(Reg(0))], None),
+                None => blk.add(x, x, 1i64).add(y, y, 1i64).longjmp(Reg(0)),
+            };
+            blk.add(x, x, 1i64).add(y, y, 1i64).ret();
+            p.finish();
+        }
+        let prog = pb.finish(main);
+
+        // Ran: thrower's first bini+bini; setjmp once, longjmp once.
+        // Block entries alone would also count the bini+bini after each
+        // of the three frames' stopping points.
+        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        res.expect("run");
+        assert_eq!(engine.fused, fused(&[("bini+bini", 1)]));
+        assert_eq!(engine.cold_taken, 2);
+    }
+
+    #[test]
+    fn longjmp_within_a_frame_resumes_the_setjmp_block_mid_way() {
+        // e: setjmp, then n += 1 (fused with m += 1); h loops back via a
+        // longjmp in `again` until n reaches 3.
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.procedure("main");
+        let e = f.entry_block();
+        let h = f.new_block();
+        let again = f.new_block();
+        let x = f.new_block();
+        let [tok, n, m, c, z, w] = [(); 6].map(|()| f.new_reg());
+        f.block(e)
+            .mov(n, 0i64)
+            .setjmp(tok)
+            .add(n, n, 1i64)
+            .add(m, m, 1i64)
+            .jump(h);
+        f.block(h).cmp_lt(c, n, 3i64).branch(c, again, x);
+        f.block(again)
+            .longjmp(tok)
+            .add(z, z, Operand::Reg(w))
+            .add(w, w, 1i64)
+            .ret();
+        f.block(x).ret();
+        let id = f.finish();
+        let prog = pb.finish(id);
+
+        // e's suffix runs three times though e is entered once; the
+        // bin+bini after the longjmp never runs though `again` is
+        // entered twice.
+        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        res.expect("run");
+        assert_eq!(engine.fused, fused(&[("bini+bini", 3), ("bini+branch", 3)]));
+        assert_eq!(engine.cold_taken, 3);
+    }
+
+    #[test]
+    fn fuel_abort_mid_block_counts_only_what_ran() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.procedure("main");
+        let e = f.entry_block();
+        let h = f.new_block();
+        let body = f.new_block();
+        let x = f.new_block();
+        let [i, c, a, b, p, q] = [(); 6].map(|()| f.new_reg());
+        f.block(e).mov(i, 0i64).jump(h);
+        // `i` never changes: the loop spins until the fuel runs out.
+        f.block(h).cmp_lt(c, i, 1i64).branch(c, body, x);
+        f.block(body)
+            .add(a, a, 1i64)
+            .add(b, b, 1i64)
+            .nop()
+            .add(p, p, 1i64)
+            .add(q, q, 1i64)
+            .nop()
+            .jump(h);
+        f.block(x).ret();
+        let id = f.finish();
+        let prog = pb.finish(id);
+
+        // Entry: 2 µops; each iteration: header 2 + body 7. With 97 µops
+        // of fuel, the eleventh body stops after its first bini+bini and
+        // nop (2 + 10·9 + 2 + 3 = 97).
+        let (engine, res) = engine_run(&prog, GuestLimits::none().with_fuel(97));
+        assert_eq!(
+            res.unwrap_err(),
+            ExecError::LimitExceeded(LimitKind::Fuel { budget: 97 })
+        );
+        assert_eq!(
+            engine.fused,
+            fused(&[("bini+bini", 21), ("bini+branch", 11)])
+        );
+    }
+
+    #[test]
+    fn bad_indirect_target_mid_block_counts_only_what_ran() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.procedure("main");
+        let e = f.entry_block();
+        let [fp, a, b] = [(); 3].map(|()| f.new_reg());
+        f.block(e)
+            .mov(fp, 99i64)
+            .add(a, a, 1i64)
+            .add(b, b, 1i64)
+            .icall(fp, vec![], None)
+            .add(a, a, 1i64)
+            .add(b, b, 1i64)
+            .ret();
+        let id = f.finish();
+        let prog = pb.finish(id);
+        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        assert_eq!(res.unwrap_err(), ExecError::BadIndirectTarget { value: 99 });
+        assert_eq!(engine.fused, fused(&[("bini+bini", 1)]));
     }
 }

@@ -31,6 +31,7 @@ use pp_ir::Program;
 use pp_obs::Recorder;
 
 use crate::config::MachineConfig;
+use crate::decode::MicroOp;
 use crate::machine::{ExecError, Machine};
 use crate::sink::NullSink;
 
@@ -73,20 +74,11 @@ impl MetaProfile {
     /// profile (adds to whatever is already accumulated).
     fn accumulate(&mut self, m: &Machine<'_>) {
         let d = m.decoded();
-        let counts = m.block_counts_dense();
-        for (bi, bm) in d.blocks.iter().enumerate() {
-            let c = counts[bi];
+        for (bi, &c) in m.block_counts_dense().iter().enumerate() {
             if c == 0 {
                 continue;
             }
-            // Blocks are lowered in dense order: block `bi`'s ops end
-            // where block `bi + 1`'s begin.
-            let start = bm.first_op as usize;
-            let end = d
-                .blocks
-                .get(bi + 1)
-                .map_or(d.ops.len(), |b| b.first_op as usize);
-            let ops = &d.ops[start..end];
+            let ops = &d.ops[d.block_ops(bi)];
             for (i, op) in ops.iter().enumerate() {
                 *self.uops.entry(op.mnemonic()).or_default() += c;
                 if let Some(next) = ops.get(i + 1) {
@@ -138,6 +130,79 @@ impl MetaProfile {
         let mut v: Vec<_> = self.pairs.iter().map(|(k, n)| (*k, *n)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
+    }
+}
+
+/// The host interpreter's engine counters for one run: how often each
+/// superinstruction and the outlined cold handlers dispatched.
+///
+/// Nothing counts these during the run. They are projected afterwards
+/// from the dense block counts through each block's static micro-ops, as
+/// [`MetaProfile`] projects its mix, with the corrections the machine
+/// keeps on its cold paths for blocks a longjmp or an error left
+/// part-way and for blocks a longjmp resumed mid-block. The projection
+/// is exact only for a machine run with [`MachineConfig::trace_blocks`]
+/// set; without it every count is zero.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EngineCounters {
+    /// Fused mnemonic (`"bini+branch"`, ...) -> dispatches; only
+    /// variants that dispatched at least once.
+    pub fused: BTreeMap<&'static str, u64>,
+    /// Dispatches of the outlined counter-control and non-local-return
+    /// handlers.
+    pub cold_taken: u64,
+}
+
+impl EngineCounters {
+    /// Projects a finished block-traced machine's counts.
+    pub(crate) fn project(m: &Machine<'_>) -> EngineCounters {
+        let d = m.decoded();
+        let mut out = EngineCounters::default();
+        // Corrections are negative where a block was cut short. Each
+        // final total is a true (non-negative) count, so two's-complement
+        // wrapping sums come out exact.
+        let mut add = |ops: &[MicroOp], n: u64| {
+            for op in ops {
+                if op.is_fused() {
+                    let c = out.fused.entry(op.mnemonic()).or_default();
+                    *c = c.wrapping_add(n);
+                } else if op.is_cold() {
+                    out.cold_taken = out.cold_taken.wrapping_add(n);
+                }
+            }
+        };
+        for (bi, &c) in m.block_counts_dense().iter().enumerate() {
+            if c > 0 {
+                add(&d.ops[d.block_ops(bi)], c);
+            }
+        }
+        for (&(block, from), &n) in m.suffix_adjustments() {
+            let end = d.block_ops(block as usize).end;
+            add(&d.ops[from as usize..end], n as u64);
+        }
+        out.fused.retain(|_, n| *n > 0);
+        out
+    }
+
+    /// Total superinstruction dispatches.
+    pub fn fused_hit(&self) -> u64 {
+        self.fused.values().sum()
+    }
+
+    /// Records the counters as `dispatch.fused_hit`,
+    /// `dispatch.fused.<mnemonic>` and `dispatch.cold_taken`; zero
+    /// counters are not recorded.
+    pub fn record_to<R: Recorder>(&self, rec: &mut R) {
+        let hits = self.fused_hit();
+        if hits > 0 {
+            rec.counter("dispatch.fused_hit", hits);
+        }
+        for (name, n) in &self.fused {
+            rec.counter(counter_name("dispatch.fused.", name, ""), *n);
+        }
+        if self.cold_taken > 0 {
+            rec.counter("dispatch.cold_taken", self.cold_taken);
+        }
     }
 }
 

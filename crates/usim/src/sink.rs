@@ -89,14 +89,16 @@ pub trait ProfSink {
         let _ = depth;
     }
 
-    /// Engine-internal observability counter (e.g. `dispatch.fused_hit`,
-    /// `call.ic_hit`). These describe the *host* interpreter's fast
-    /// paths, not the simulated machine — they never affect profiles or
-    /// metrics. The default is a no-op so `NullSink` (and any sink whose
-    /// recorder is `NoopRecorder`) monomorphizes the call away entirely.
+    /// An indirect call looked up its site's inline cache: `hit` when
+    /// the cached target was reused, `false` when the target was
+    /// validated and installed. This describes the *host* interpreter's
+    /// fast path, not the simulated machine — it never affects profiles
+    /// or metrics. It is the one engine event that cannot be derived
+    /// from block counts after the run; the other engine counters are
+    /// ([`Machine::engine_counters`](crate::Machine::engine_counters)).
     #[inline(always)]
-    fn obs_counter(&mut self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
+    fn icall_cache(&mut self, hit: bool) {
+        let _ = hit;
     }
 }
 
@@ -140,8 +142,8 @@ impl<S: ProfSink + ?Sized> ProfSink for &mut S {
         (**self).unwind(depth);
     }
 
-    fn obs_counter(&mut self, name: &'static str, delta: u64) {
-        (**self).obs_counter(name, delta);
+    fn icall_cache(&mut self, hit: bool) {
+        (**self).icall_cache(hit);
     }
 }
 

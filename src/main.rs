@@ -1087,8 +1087,17 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
     let base_wall = t.elapsed().as_secs_f64();
     let (base_events, _) = pp::obs::trace::take_events();
 
-    // The instrumented run, observed: the sink records hot-path metrics
-    // into the registry, the pipeline records its phase spans.
+    // The same configuration unobserved, wall-timed: the yardstick for
+    // what observing the run below costs. Its spans are dropped so the
+    // phase table describes one pipeline.
+    let t = Instant::now();
+    profiler.run(&program, config)?;
+    let plain_wall = t.elapsed().as_secs_f64();
+    let _ = pp::obs::trace::take_events();
+
+    // The instrumented run, observed: the sink tallies what only the run
+    // can see and folds it into the registry at the end, the pipeline
+    // records its phase spans.
     let mut reg = pp::obs::Registry::new();
     let t = Instant::now();
     let run = profiler.run_observed(&program, config, &mut reg)?;
@@ -1172,12 +1181,25 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
         );
     }
 
+    let obs_overhead = dilation(plain_wall, inst_wall);
+    println!(
+        "\nobservation overhead: {obs_overhead:.2}x ({:.3} ms observed vs {:.3} ms unobserved)",
+        inst_wall * 1e3,
+        plain_wall * 1e3
+    );
+
     println!("\n-- internals metrics --");
     print!("{}", reg.snapshot());
 
     if let Some(path) = &opts.out {
         let json = stats_json(
-            &name, &run, &base, opts, base_wall, inst_wall, &phases, &reg,
+            &name,
+            &run,
+            &base,
+            opts,
+            (base_wall, inst_wall, obs_overhead),
+            &phases,
+            &reg,
         );
         std::fs::write(path, json).map_err(|e| PpError::io(path, e))?;
         println!("\nwrote stats to {path}");
@@ -1192,15 +1214,15 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
 }
 
 /// Renders the machine-readable form of the overhead report (`pp stats
-/// --out`); the schema round-trips through `pp::obs::json`.
-#[allow(clippy::too_many_arguments)]
+/// --out`); the schema round-trips through `pp::obs::json`. The tuple
+/// holds the base and instrumented wall seconds and the observation
+/// overhead.
 fn stats_json(
     name: &str,
     run: &RunOutcome,
     base: &RunOutcome,
     opts: &Options,
-    base_wall: f64,
-    inst_wall: f64,
+    (base_wall, inst_wall, obs_overhead): (f64, f64, f64),
     phases: &std::collections::BTreeMap<&'static str, u64>,
     reg: &pp::obs::Registry,
 ) -> String {
@@ -1238,6 +1260,7 @@ fn stats_json(
                 ("dilation".to_string(), dilation(base_wall, inst_wall)),
             ]),
         ),
+        ("obs_overhead_x".to_string(), Json::Num(obs_overhead)),
         ("dilation".to_string(), Json::Obj(dilations)),
         ("phases_us".to_string(), Json::Obj(phases_us)),
         ("metrics".to_string(), metrics),

@@ -162,10 +162,13 @@ fn metrics_snapshots_are_identical_across_interpreters() {
         // byte for byte, snapshot and JSON alike.
         assert_eq!(a.snapshot(), rerun.snapshot(), "rerun: {}", w.name);
         assert_eq!(a.to_json(), rerun.to_json(), "json rerun: {}", w.name);
-        // And the fused fast path actually ran.
-        assert!(
-            a.snapshot().contains("counter dispatch.fused_hit"),
-            "{}: no fused dispatches recorded",
+        // And the fused fast path ran exactly when fusion is on: the CI
+        // pass with `PP_NO_FUSE=1` must record no fused dispatch at all.
+        let fusion_on = std::env::var_os("PP_NO_FUSE").is_none_or(|v| v == "0");
+        assert_eq!(
+            a.snapshot().contains("counter dispatch.fused"),
+            fusion_on,
+            "{}: fused dispatches recorded must equal fusion on ({fusion_on})",
             w.name
         );
     }
