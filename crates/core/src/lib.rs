@@ -43,6 +43,7 @@
 pub mod analysis;
 pub mod annotate;
 pub mod chaos;
+mod engine;
 pub mod error;
 pub mod experiment;
 pub mod integrity;

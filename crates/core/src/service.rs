@@ -1,10 +1,11 @@
 //! Profile-as-a-service: the long-running job spine behind `pp serve`.
 //!
 //! The batch [`Supervisor`](crate::Supervisor) runs a fixed campaign and
-//! exits; this module turns the same per-job machinery — panic-isolated
-//! execution, transient/permanent classification, deterministic backoff,
-//! integrity quarantine ([`JobExecutor`]) — into a [`Service`] that
-//! accepts work for as long as the process lives. The robustness spine:
+//! exits; a [`Service`] runs the same job engine — worker pool,
+//! panic-isolated execution ([`JobExecutor`]), result fold, checkpoints,
+//! manifest adoption — for as long as the process lives, and adds
+//! admission, an intake journal and the event bus in front of it. The
+//! robustness spine:
 //!
 //! * **bounded admission**: a fixed-capacity queue; a submit that would
 //!   exceed it is rejected *immediately* with a typed
@@ -32,26 +33,29 @@
 //! `k` is its entry. The journal is the authoritative job list; the
 //! manifest is a prefix snapshot of terminal states.
 
-use std::collections::{HashMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use pp_cct::SerializeError;
 use pp_ir::Program;
 use pp_obs::events::{Event, EventBus, EventFilter, Payload, Subscription};
 use pp_obs::json::Json;
 use pp_obs::{Recorder, Registry};
 use pp_usim::CancelToken;
 
+use crate::engine::{adopt_manifest, Engine, EngineConfig, JobRecord, Observer, State};
+pub use crate::engine::{JobState, ServicePhase};
 use crate::error::PpError;
 use crate::profiler::{Profiler, RunConfig};
-use crate::supervisor::manifest::{self, BatchManifest, JobEntry, JobStatus, ProfileRef};
-use crate::supervisor::{
-    ExecEvent, ExecOutcome, JobExecutor, JobFaults, JobSpec, WORKER_THREAD_PREFIX,
-};
+use crate::supervisor::manifest::{self, BatchManifest};
+use crate::supervisor::{ExecEvent, JobExecutor, JobFaults, JobSpec};
 
 /// File name of the write-ahead intake journal inside the service
 /// checkpoint directory.
@@ -212,42 +216,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Where the service is in its shed/drain state machine.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ServicePhase {
-    /// Accepting submissions.
-    Accepting,
-    /// Refusing intake; in-flight jobs finishing; queued jobs held.
-    Draining,
-    /// Workers joined, final checkpoint written.
-    Stopped,
-}
-
-/// A job's lifecycle state as reported to clients.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum JobState {
-    /// Admitted, waiting for a worker.
-    Queued,
-    /// A worker is executing it.
-    Running,
-    /// Finished; artifacts persisted and verified.
-    Done,
-    /// Exhausted retries or failed permanently.
-    Failed,
-}
-
-impl JobState {
-    /// Wire tag for the status protocol.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-        }
-    }
-}
-
 /// A client-facing snapshot of one job.
 #[derive(Clone, Debug)]
 pub struct JobView {
@@ -403,79 +371,26 @@ pub struct ServiceReport {
     pub metrics: ServiceMetrics,
 }
 
-/// One job's full record inside the service.
-#[derive(Clone, Debug)]
-struct JobRecord {
-    client: String,
-    spec: JobSpec,
-    state: JobState,
-    attempts: u32,
-    cycles: u64,
-    uops: u64,
-    detail: String,
-    flow: Option<ProfileRef>,
-    cct: Option<ProfileRef>,
-    /// When the job was admitted (feeds `service.queue_wait_us`).
-    admitted_at: Instant,
-    /// When a worker picked it up (feeds `service.exec_wall_us`);
-    /// `None` until started.
-    started_at: Option<Instant>,
-}
-
-impl JobRecord {
-    fn entry(&self) -> JobEntry {
-        JobEntry {
-            name: self.spec.name.clone(),
-            status: match self.state {
-                JobState::Queued | JobState::Running => JobStatus::Pending,
-                JobState::Done => JobStatus::Done,
-                JobState::Failed => JobStatus::Failed,
-            },
-            attempts: self.attempts,
-            cycles: self.cycles,
-            uops: self.uops,
-            detail: self.detail.clone(),
-            flow: self.flow.clone(),
-            cct: self.cct.clone(),
-        }
-    }
-
-    fn view(&self, id: u64) -> JobView {
+impl JobView {
+    fn of(id: u64, rec: &JobRecord<'_>) -> JobView {
+        let e = &rec.entry;
         JobView {
             id,
-            name: self.spec.name.clone(),
-            client: self.client.clone(),
-            state: self.state,
-            attempts: self.attempts,
-            cycles: self.cycles,
-            uops: self.uops,
-            detail: self.detail.clone(),
-            flow: self.flow.as_ref().map(|r| r.file.clone()),
-            cct: self.cct.as_ref().map(|r| r.file.clone()),
+            name: e.name.clone(),
+            client: rec.client.clone(),
+            state: rec.state(),
+            attempts: e.attempts,
+            cycles: e.cycles,
+            uops: e.uops,
+            detail: e.detail.clone(),
+            flow: e.flow.as_ref().map(|r| r.file.clone()),
+            cct: e.cct.as_ref().map(|r| r.file.clone()),
         }
     }
 }
 
-/// Mutable service state, guarded by one mutex.
-struct State {
-    phase: ServicePhase,
-    paused: bool,
-    halted: bool,
-    jobs: Vec<JobRecord>,
-    queue: VecDeque<u64>,
-    running: usize,
-    active_by_client: HashMap<String, usize>,
-    since_checkpoint: u32,
-    journal: File,
-    /// Terminal-event journal ([`EVENTS_FILE`]); telemetry, so write
-    /// failures warn rather than fail the job.
-    events_journal: File,
-    /// First checkpoint/persistence error hit by a worker; surfaced at
-    /// shutdown (workers cannot return a Result mid-service).
-    io_error: Option<String>,
-}
-
-/// Monotonic counters, updated lock-free.
+/// Admission and recovery counters, updated lock-free (the engine
+/// counts everything after admission).
 #[derive(Default)]
 struct Counters {
     admitted: AtomicU64,
@@ -483,48 +398,108 @@ struct Counters {
     rejected_quota: AtomicU64,
     rejected_draining: AtomicU64,
     rejected_bad_spec: AtomicU64,
-    done: AtomicU64,
-    failed: AtomicU64,
-    retries: AtomicU64,
-    panics: AtomicU64,
-    limit_stops: AtomicU64,
-    quarantined: AtomicU64,
-    quarantine_pruned: AtomicU64,
-    checkpoint_writes: AtomicU64,
     recovered_adopted: AtomicU64,
     recovered_requeued: AtomicU64,
 }
 
-struct Inner {
-    config: ServiceConfig,
-    executor: JobExecutor,
-    resolver: SpecResolver,
-    dir: PathBuf,
-    state: Mutex<State>,
-    /// Workers park here waiting for queue work (or phase changes).
-    wake: Condvar,
-    /// Status waiters park here for terminal transitions.
-    done: Condvar,
-    counters: Counters,
-    hard_cancel: CancelToken,
-    /// The observability event bus. Job-lifecycle events publish while
-    /// the state lock is held, so per-job ordering on the bus mirrors
-    /// the state machine; the bus lock is only ever taken *inside* the
-    /// state lock, never the reverse.
+/// The service's observability plane, fed by the engine's job
+/// transitions. Job-lifecycle events publish while the engine's state
+/// lock is held, so per-job ordering on the bus mirrors the state
+/// machine; the bus, histogram and journal locks are only ever taken
+/// *inside* the state lock, never the reverse.
+struct Plane {
     bus: EventBus,
     /// Live timing histograms (`service.queue_wait_us`,
-    /// `service.exec_wall_us`, `service.admit.*_us`). Locked after the
-    /// state lock where both are held.
+    /// `service.exec_wall_us`, `service.admit.*_us`) and transport
+    /// accounting.
     hists: Mutex<Registry>,
+    /// Terminal-event journal ([`EVENTS_FILE`]); telemetry, so write
+    /// failures warn rather than fail the job.
+    events_journal: Mutex<File>,
 }
 
-/// The profile service: admission, execution, persistence, recovery.
-/// Cheap to clone handles are not provided — share it via the struct
-/// itself (methods take `&self`; the worker threads hold `Arc`s to the
-/// internals).
+impl Observer for Plane {
+    fn started(&self, id: u64, rec: &JobRecord<'_>, worker: u64) {
+        let queue_wait_us = rec.started_at.map_or(0, |t| {
+            t.saturating_duration_since(rec.admitted_at).as_micros() as u64
+        });
+        self.bus.publish(Event::job_event(
+            id,
+            &rec.client,
+            &rec.entry.name,
+            Payload::Started { worker },
+        ));
+        self.observe("service.queue_wait_us", queue_wait_us);
+    }
+
+    fn exec_event(&self, id: u64, client: &str, name: &str, ev: ExecEvent) {
+        let payload = match ev {
+            ExecEvent::Retrying {
+                attempt,
+                class,
+                delay_ms,
+            } => Payload::Retrying {
+                class: class.as_str().to_string(),
+                attempt,
+                delay_ms,
+            },
+            ExecEvent::Quarantined { attempt, reason } => Payload::Quarantined { attempt, reason },
+        };
+        self.bus
+            .publish(Event::job_event(id, client, name, payload));
+    }
+
+    /// Journals the terminal event (fsynced, so a restart can replay it
+    /// for adopted jobs), then publishes it to close the job's
+    /// lifecycle on the bus.
+    fn finished(&self, id: u64, rec: &JobRecord<'_>) {
+        let wall_us = rec.started_at.map_or(0, |t| t.elapsed().as_micros() as u64);
+        let outcome = rec.state().as_str();
+        let line = event_journal_line(id, rec, outcome, wall_us);
+        let mut journal = self.events_journal.lock().expect("events journal");
+        if let Err(e) = append_journal(&mut journal, &line) {
+            pp_obs::warn!("service: terminal-event journal write failed: {e}");
+        }
+        drop(journal);
+        self.bus.publish(Event::job_event(
+            id,
+            &rec.client,
+            &rec.entry.name,
+            Payload::Done {
+                outcome: outcome.to_string(),
+                wall_us,
+                attempts: rec.entry.attempts,
+            },
+        ));
+        self.observe("service.exec_wall_us", wall_us);
+    }
+}
+
+impl Plane {
+    fn observe(&self, name: &'static str, value: u64) {
+        self.hists
+            .lock()
+            .expect("service hists")
+            .observe(name, value);
+    }
+}
+
+/// The profile service: the job engine plus admission, the intake
+/// journal, and the event bus. Methods take `&self`; the worker pool
+/// holds an `Arc` to the engine.
 pub struct Service {
-    inner: Arc<Inner>,
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    config: ServiceConfig,
+    engine: Arc<Engine<'static>>,
+    /// The thread running the engine's worker pool.
+    pool: Mutex<Option<JoinHandle<()>>>,
+    plane: Arc<Plane>,
+    resolver: SpecResolver,
+    dir: PathBuf,
+    /// The write-ahead intake journal; appended under the engine's
+    /// state lock so line `k` is job `k`.
+    journal: Mutex<File>,
+    counters: Counters,
+    hard_cancel: CancelToken,
 }
 
 impl Service {
@@ -532,15 +507,19 @@ impl Service {
     /// checkpoint in it, then spawns the worker pool. The `profiler`
     /// carries machine config and guest limits; the service adds its
     /// own hard-cancel token to those limits (see
-    /// [`Service::hard_cancel`]).
+    /// [`Service::hard_cancel_token`]).
+    ///
+    /// Recovery replays the intake journal (the authoritative job list)
+    /// and adopts the manifest rows that still vouch for themselves;
+    /// everything else re-queues.
     ///
     /// # Errors
     ///
     /// [`PpError::Io`] when the directory or journal cannot be used;
-    /// [`PpError::Corrupt`] for an unusable journal or a manifest that
-    /// contradicts it; [`PpError::Usage`] when the checkpoint belongs
-    /// to a different campaign (seed/params mismatch) or a journaled
-    /// spec no longer resolves.
+    /// [`PpError::Corrupt`] for an unusable journal or manifest;
+    /// [`PpError::Usage`] when the checkpoint belongs to a different
+    /// campaign (seed/params/job-list mismatch) or a journaled spec no
+    /// longer resolves.
     pub fn start(
         config: ServiceConfig,
         profiler: Profiler,
@@ -548,7 +527,6 @@ impl Service {
         dir: impl Into<PathBuf>,
     ) -> Result<Service, PpError> {
         let _span = pp_obs::span!("service.start");
-        crate::supervisor::suppress_worker_panic_output();
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| PpError::io(dir.display().to_string(), e))?;
 
@@ -562,91 +540,129 @@ impl Service {
             .with_backoff_ms(config.backoff_base_ms, config.backoff_cap_ms)
             .with_seed(config.seed);
 
+        let mut jobs: Vec<JobRecord> = Vec::new();
+        let journal = replay_journal(&dir.join(JOURNAL_FILE), OnCorrupt::Fail, |n, line| {
+            let corrupt = |what: String| {
+                PpError::Corrupt(SerializeError::Format(format!(
+                    "intake journal line {n} {what}"
+                )))
+            };
+            let field = |key: &str| {
+                line.get(key)
+                    .and_then(Json::as_str)
+                    .ok_or_else(|| corrupt(format!("lacks \"{key}\"")))
+            };
+            let id = line
+                .get("id")
+                .and_then(Json::as_f64)
+                .ok_or_else(|| corrupt("lacks \"id\"".to_string()))? as u64;
+            if id != n as u64 {
+                return Err(corrupt(format!("is out of order: it claims id {id}")));
+            }
+            let spec = field("spec")?;
+            let (program, run_config) = resolver(spec).map_err(|e| {
+                PpError::Usage(format!(
+                    "journaled job {id} spec \"{spec}\" no longer resolves: {e}"
+                ))
+            })?;
+            jobs.push(JobRecord::new(
+                field("client")?,
+                Cow::Owned(JobSpec::new(field("name")?, program, run_config)),
+                config.fault_plan.faults_for(id),
+            ));
+            Ok(())
+        })?;
+        let adopted = if dir.join(manifest::MANIFEST_FILE).is_file() {
+            adopt_manifest(&dir, config.seed, &config.params, &mut jobs)?
+        } else {
+            0
+        };
         let counters = Counters::default();
-        let recovered = recover(&config, &resolver, &dir, &counters)?;
-        let Recovered {
-            jobs,
-            journal,
-            events_journal,
-            terminal_notes,
-        } = recovered;
-        let queue: VecDeque<u64> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.state == JobState::Queued)
-            .map(|(i, _)| i as u64)
-            .collect();
-        let mut active_by_client: HashMap<String, usize> = HashMap::new();
-        for j in jobs.iter().filter(|j| j.state == JobState::Queued) {
-            *active_by_client.entry(j.client.clone()).or_insert(0) += 1;
+        let requeued = jobs.len() as u64 - adopted;
+        if !jobs.is_empty() {
+            pp_obs::info!(
+                "service: recovered {} journaled jobs ({adopted} adopted, {requeued} re-queued)",
+                jobs.len()
+            );
         }
+        counters.recovered_adopted.store(adopted, Ordering::Relaxed);
+        counters
+            .recovered_requeued
+            .store(requeued, Ordering::Relaxed);
 
-        let inner = Arc::new(Inner {
-            executor,
-            resolver,
-            dir,
-            state: Mutex::new(State {
-                phase: ServicePhase::Accepting,
-                paused: config.paused,
-                halted: false,
-                jobs,
-                queue,
-                running: 0,
-                active_by_client,
-                since_checkpoint: 0,
-                journal,
-                events_journal,
-                io_error: None,
-            }),
-            wake: Condvar::new(),
-            done: Condvar::new(),
-            counters,
-            hard_cancel,
-            config,
+        // The latest terminal-event journal entry per job id (a job
+        // re-run after a failed adoption writes a second line; last
+        // wins).
+        let mut wall_us: HashMap<u64, u64> = HashMap::new();
+        let events_journal =
+            replay_journal(&dir.join(EVENTS_FILE), OnCorrupt::Truncate, |_, line| {
+                let job = line.get("job").and_then(Json::as_f64).ok_or_else(|| {
+                    PpError::Corrupt(SerializeError::Format("lacks \"job\"".to_string()))
+                })?;
+                let wall = line.get("wall_us").and_then(Json::as_f64).unwrap_or(0.0);
+                wall_us.insert(job as u64, wall as u64);
+                Ok(())
+            })?;
+        let plane = Arc::new(Plane {
             bus: EventBus::default(),
             hists: Mutex::new(Registry::new()),
+            events_journal: Mutex::new(events_journal),
         });
-
         // Replay terminal events for adopted jobs (in id order, before
-        // workers can publish anything live) so a subscriber asking for
-        // history from seq 0 sees what the previous incarnation
+        // the workers can publish anything live) so a subscriber asking
+        // for history from seq 0 sees what the previous incarnation
         // finished.
-        {
-            let st = inner.state.lock().expect("service state");
-            for (i, rec) in st.jobs.iter().enumerate() {
-                if !matches!(rec.state, JobState::Done | JobState::Failed) {
-                    continue;
-                }
+        for (i, rec) in jobs.iter().enumerate() {
+            let state = rec.state();
+            if matches!(state, JobState::Done | JobState::Failed) {
                 let id = i as u64;
-                let wall_us = terminal_notes.get(&id).map_or(0, |n| n.wall_us);
-                inner.bus.publish(
-                    Event::job_event(
-                        id,
-                        &rec.client,
-                        &rec.spec.name,
-                        Payload::Done {
-                            outcome: rec.state.as_str().to_string(),
-                            wall_us,
-                            attempts: rec.attempts,
-                        },
-                    )
-                    .replayed(),
+                let payload = Payload::Done {
+                    outcome: state.as_str().to_string(),
+                    wall_us: wall_us.get(&id).copied().unwrap_or(0),
+                    attempts: rec.entry.attempts,
+                };
+                plane.bus.publish(
+                    Event::job_event(id, &rec.client, &rec.entry.name, payload).replayed(),
                 );
             }
         }
 
-        let mut handles = Vec::new();
-        for w in 0..inner.config.workers.max(1) {
-            let inner = Arc::clone(&inner);
-            let handle = std::thread::Builder::new()
-                .name(format!("{WORKER_THREAD_PREFIX}-svc-{w}"))
-                .spawn(move || worker_loop(&inner, w as u64))
-                .map_err(|e| PpError::io("service worker spawn", e))?;
-            handles.push(handle);
-        }
+        let engine = Arc::new(Engine::new(
+            EngineConfig {
+                workers: config.workers,
+                dir: Some(dir.clone()),
+                stem_width: 6,
+                seed: config.seed,
+                params: config.params.clone(),
+                checkpoint_every: config.checkpoint_every,
+                quarantine_cap: config.quarantine_cap,
+                fixed_intake: false,
+                paused: config.paused,
+                stop: CancelToken::new(),
+                halt_after_checkpoints: None,
+                truncate_checkpoint: None,
+            },
+            executor,
+            jobs,
+            Arc::clone(&plane) as Arc<dyn Observer>,
+        ));
+        let pool = {
+            let engine = Arc::clone(&engine);
+            std::thread::Builder::new()
+                .name("pp-service-pool".to_string())
+                .spawn(move || engine.run_workers())
+                .map_err(|e| PpError::io("service worker spawn", e))?
+        };
         Ok(Service {
-            inner,
-            workers: Mutex::new(handles),
+            config,
+            engine,
+            pool: Mutex::new(Some(pool)),
+            plane,
+            resolver,
+            dir,
+            journal: Mutex::new(journal),
+            counters,
+            hard_cancel,
         })
     }
 
@@ -667,23 +683,20 @@ impl Service {
             Ok(_) => "admitted",
             Err(e) => e.kind(),
         };
-        self.inner
-            .hists
-            .lock()
-            .expect("service hists")
+        self.plane
             .observe(admit_hist_name(kind), t0.elapsed().as_micros() as u64);
         result
     }
 
     fn submit_inner(&self, client: &str, name: &str, spec: &str) -> Result<u64, AdmitError> {
-        let c = &self.inner.counters;
+        let c = &self.counters;
         // Resolve outside the lock: spec parsing/loading is the
         // expensive part and needs no shared state.
-        let (program, run_config) = (self.inner.resolver)(spec).map_err(|e| {
+        let (program, run_config) = (self.resolver)(spec).map_err(|e| {
             c.rejected_bad_spec.fetch_add(1, Ordering::Relaxed);
             AdmitError::BadSpec(e)
         })?;
-        let mut st = self.inner.state.lock().expect("service state");
+        let mut st = self.engine.lock();
         match st.phase {
             ServicePhase::Accepting => {}
             ServicePhase::Draining => {
@@ -695,12 +708,12 @@ impl Service {
                 return Err(AdmitError::Stopped);
             }
         }
-        let capacity = self.inner.config.queue_capacity.max(1);
+        let capacity = self.config.queue_capacity.max(1);
         if st.queue.len() >= capacity {
             c.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
             return Err(AdmitError::Overloaded { capacity });
         }
-        let quota = self.inner.config.per_client_quota;
+        let quota = self.config.per_client_quota;
         if quota > 0 && st.active_by_client.get(client).copied().unwrap_or(0) >= quota {
             c.rejected_quota.fetch_add(1, Ordering::Relaxed);
             return Err(AdmitError::QuotaExceeded {
@@ -712,30 +725,21 @@ impl Service {
         // Write-ahead: the admission is durable before it is
         // acknowledged; a crash right after this line re-runs the job.
         let line = journal_line(id, client, name, spec);
-        if let Err(e) = append_journal(&mut st.journal, &line) {
-            return Err(AdmitError::Io(e.to_string()));
-        }
-        st.jobs.push(JobRecord {
-            client: client.to_string(),
-            spec: JobSpec::new(name, program, run_config),
-            state: JobState::Queued,
-            attempts: 0,
-            cycles: 0,
-            uops: 0,
-            detail: String::new(),
-            flow: None,
-            cct: None,
-            admitted_at: Instant::now(),
-            started_at: None,
-        });
-        st.queue.push_back(id);
-        *st.active_by_client.entry(client.to_string()).or_insert(0) += 1;
+        let mut journal = self.journal.lock().expect("intake journal");
+        append_journal(&mut journal, &line).map_err(|e| AdmitError::Io(e.to_string()))?;
+        drop(journal);
+        st.enqueue(JobRecord::new(
+            client,
+            Cow::Owned(JobSpec::new(name, program, run_config)),
+            self.config.fault_plan.faults_for(id),
+        ));
         c.admitted.fetch_add(1, Ordering::Relaxed);
         // Publish while still holding the state lock: a worker cannot
         // pop this job (and publish `started`) until the lock drops, so
         // bus order matches lifecycle order per job.
         let depth = st.queue.len() as u64;
-        self.inner.bus.publish(Event::job_event(
+        let bus = &self.plane.bus;
+        bus.publish(Event::job_event(
             id,
             client,
             name,
@@ -743,47 +747,44 @@ impl Service {
                 spec: spec.to_string(),
             },
         ));
-        self.inner.bus.publish(Event::job_event(
+        bus.publish(Event::job_event(
             id,
             client,
             name,
             Payload::Queued { depth },
         ));
         drop(st);
-        self.inner.wake.notify_one();
+        self.engine.wake_one();
         Ok(id)
     }
 
     /// Releases workers parked by [`ServiceConfig::paused`].
     pub fn unpause(&self) {
-        let mut st = self.inner.state.lock().expect("service state");
-        st.paused = false;
-        drop(st);
-        self.inner.wake.notify_all();
+        self.engine.unpause();
     }
 
     /// A snapshot of one job, if it exists.
     pub fn status(&self, id: u64) -> Option<JobView> {
-        let st = self.inner.state.lock().expect("service state");
-        st.jobs.get(id as usize).map(|j| j.view(id))
+        let st = self.engine.lock();
+        st.jobs.get(id as usize).map(|j| JobView::of(id, j))
     }
 
     /// Snapshots of every job, in admission order.
     pub fn jobs(&self) -> Vec<JobView> {
-        let st = self.inner.state.lock().expect("service state");
+        let st = self.engine.lock();
         st.jobs
             .iter()
             .enumerate()
-            .map(|(i, j)| j.view(i as u64))
+            .map(|(i, j)| JobView::of(i as u64, j))
             .collect()
     }
 
     /// Jobs in each state: `(queued, running, done, failed)`.
     pub fn counts(&self) -> (usize, usize, usize, usize) {
-        let st = self.inner.state.lock().expect("service state");
+        let st = self.engine.lock();
         let mut c = (0, 0, 0, 0);
         for j in &st.jobs {
-            match j.state {
+            match j.state() {
                 JobState::Queued => c.0 += 1,
                 JobState::Running => c.1 += 1,
                 JobState::Done => c.2 += 1,
@@ -795,88 +796,52 @@ impl Service {
 
     /// The current shed/drain phase.
     pub fn phase(&self) -> ServicePhase {
-        self.inner.state.lock().expect("service state").phase
+        self.engine.lock().phase
     }
 
     /// Blocks until job `id` reaches a terminal state or `timeout`
     /// elapses; returns the latest view either way (`None` for an
     /// unknown id).
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobView> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().expect("service state");
-        loop {
-            match st.jobs.get(id as usize).map(|j| j.state) {
-                None => return None,
-                Some(JobState::Done | JobState::Failed) => {
-                    return st.jobs.get(id as usize).map(|j| j.view(id));
-                }
-                Some(_) => {}
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return st.jobs.get(id as usize).map(|j| j.view(id));
-            }
-            let (guard, _) = self
-                .inner
-                .done
-                .wait_timeout(st, deadline - now)
-                .expect("service state");
-            st = guard;
-        }
+        let st = self.engine.wait_for(timeout, |st| {
+            st.jobs
+                .get(id as usize)
+                .is_none_or(|j| matches!(j.state(), JobState::Done | JobState::Failed))
+        });
+        st.jobs.get(id as usize).map(|j| JobView::of(id, j))
     }
 
     /// Blocks until no jobs are queued or running, or `timeout`
     /// elapses. Returns whether the service went idle.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.inner.state.lock().expect("service state");
-        loop {
-            if st.queue.is_empty() && st.running == 0 {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, _) = self
-                .inner
-                .done
-                .wait_timeout(st, deadline - now)
-                .expect("service state");
-            st = guard;
-        }
+        let idle = |st: &State| st.queue.is_empty() && st.running == 0;
+        idle(&self.engine.wait_for(timeout, idle))
     }
 
     /// A point-in-time metrics snapshot.
     pub fn metrics(&self) -> ServiceMetrics {
-        let c = &self.inner.counters;
-        let (queued, running, jobs) = {
-            let st = self.inner.state.lock().expect("service state");
-            (
-                st.queue.len() as u64,
-                st.running as u64,
-                st.jobs.len() as u64,
-            )
-        };
+        let c = &self.counters;
+        let st = self.engine.lock();
+        let e = st.counters;
         ServiceMetrics {
             admitted: c.admitted.load(Ordering::Relaxed),
             rejected_overloaded: c.rejected_overloaded.load(Ordering::Relaxed),
             rejected_quota: c.rejected_quota.load(Ordering::Relaxed),
             rejected_draining: c.rejected_draining.load(Ordering::Relaxed),
             rejected_bad_spec: c.rejected_bad_spec.load(Ordering::Relaxed),
-            done: c.done.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            panics: c.panics.load(Ordering::Relaxed),
-            limit_stops: c.limit_stops.load(Ordering::Relaxed),
-            quarantined: c.quarantined.load(Ordering::Relaxed),
-            quarantine_pruned: c.quarantine_pruned.load(Ordering::Relaxed),
-            checkpoint_writes: c.checkpoint_writes.load(Ordering::Relaxed),
+            done: e.done,
+            failed: e.failed,
+            retries: e.retries,
+            panics: e.panics,
+            limit_stops: e.limit_stops,
+            quarantined: e.quarantined,
+            quarantine_pruned: e.quarantine_pruned,
+            checkpoint_writes: e.checkpoint_writes,
             recovered_adopted: c.recovered_adopted.load(Ordering::Relaxed),
             recovered_requeued: c.recovered_requeued.load(Ordering::Relaxed),
-            queued,
-            running,
-            jobs,
+            queued: st.queue.len() as u64,
+            running: st.running as u64,
+            jobs: st.jobs.len() as u64,
         }
     }
 
@@ -887,13 +852,13 @@ impl Service {
     /// counted in each delivered frame's `dropped_since_last` — the
     /// daemon never blocks on a consumer.
     pub fn subscribe(&self, filter: EventFilter, capacity: usize) -> Subscription {
-        self.inner.bus.subscribe(filter, capacity)
+        self.plane.bus.subscribe(filter, capacity)
     }
 
     /// The service event bus (publication/drop totals, ad-hoc
     /// publication by the embedding daemon).
     pub fn events(&self) -> &EventBus {
-        &self.inner.bus
+        &self.plane.bus
     }
 
     /// Bumps a counter in the service's internal registry — the hook
@@ -901,7 +866,7 @@ impl Service {
     /// in [`Service::registry`] snapshots (`pp status --metrics/--prom`)
     /// without a registry of its own.
     pub fn obs_counter(&self, name: &'static str, delta: u64) {
-        self.inner
+        self.plane
             .hists
             .lock()
             .expect("service hists")
@@ -910,7 +875,7 @@ impl Service {
 
     /// Sets a gauge in the service's internal registry.
     pub fn obs_gauge(&self, name: &'static str, value: f64) {
-        self.inner
+        self.plane
             .hists
             .lock()
             .expect("service hists")
@@ -919,11 +884,7 @@ impl Service {
 
     /// Records a histogram sample in the service's internal registry.
     pub fn obs_observe(&self, name: &'static str, value: u64) {
-        self.inner
-            .hists
-            .lock()
-            .expect("service hists")
-            .observe(name, value);
+        self.plane.observe(name, value);
     }
 
     /// The full observability registry: the [`ServiceMetrics`] counter
@@ -933,9 +894,9 @@ impl Service {
     /// `obs_*` hooks, and the event-bus accounting
     /// (`events.published`, `events.dropped`, `events.subscribers`).
     pub fn registry(&self) -> Registry {
-        let mut reg = self.inner.hists.lock().expect("service hists").clone();
+        let mut reg = self.plane.hists.lock().expect("service hists").clone();
         self.metrics().record_metrics(&mut reg);
-        let bus = &self.inner.bus;
+        let bus = &self.plane.bus;
         reg.counter("events.published", bus.published());
         reg.counter("events.dropped", bus.dropped_total());
         reg.gauge("events.subscribers", bus.subscriber_count() as f64);
@@ -948,27 +909,26 @@ impl Service {
     pub fn publish_metrics_snapshot(&self) {
         let metrics =
             pp_obs::json::parse(&self.registry().to_json()).unwrap_or(Json::Obj(Vec::new()));
-        self.inner
+        self.plane
             .bus
             .publish(Event::service_event(Payload::MetricsSnapshot { metrics }));
+    }
+
+    fn publish_phase(&self, phase: &str) {
+        self.plane
+            .bus
+            .publish(Event::service_event(Payload::StateChanged {
+                phase: phase.to_string(),
+            }));
     }
 
     /// Enters the draining phase: intake is refused, in-flight jobs
     /// finish, queued jobs stay pending (they will re-queue on the next
     /// start). Idempotent.
     pub fn drain(&self) {
-        let mut st = self.inner.state.lock().expect("service state");
-        if st.phase == ServicePhase::Accepting {
-            st.phase = ServicePhase::Draining;
-            self.inner
-                .bus
-                .publish(Event::service_event(Payload::StateChanged {
-                    phase: "draining".to_string(),
-                }));
+        if self.engine.drain() {
+            self.publish_phase("draining");
         }
-        drop(st);
-        self.inner.wake.notify_all();
-        self.inner.done.notify_all();
     }
 
     /// Drains, joins the workers, writes the final checkpoint, and
@@ -976,44 +936,16 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`PpError::Io`] when the final checkpoint (or any checkpoint a
-    /// worker attempted during the run) failed to persist.
+    /// [`PpError::Io`] when the final checkpoint, or any artifact or
+    /// checkpoint a worker wrote during the run, failed to persist.
     pub fn shutdown(&self) -> Result<ServiceReport, PpError> {
         let _span = pp_obs::span!("service.shutdown");
         self.drain();
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("worker handles")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        let mut st = self.inner.state.lock().expect("service state");
-        let manifest = snapshot_manifest(&self.inner.config, &st.jobs);
-        if !st.halted {
-            manifest
-                .save_atomic(&self.inner.dir)
-                .map_err(PpError::from)?;
-            self.inner
-                .counters
-                .checkpoint_writes
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        st.phase = ServicePhase::Stopped;
-        self.inner
-            .bus
-            .publish(Event::service_event(Payload::StateChanged {
-                phase: "stopped".to_string(),
-            }));
-        if let Some(e) = st.io_error.take() {
-            return Err(PpError::Io {
-                context: "service checkpoint".to_string(),
-                source: std::io::Error::other(e),
-            });
-        }
-        drop(st);
+        self.join_pool();
+        let finished = self.engine.finish();
+        self.publish_phase("stopped");
+        finished?;
+        let manifest = self.engine.manifest(&self.engine.lock());
         Ok(ServiceReport {
             manifest,
             metrics: self.metrics(),
@@ -1026,21 +958,14 @@ impl Service {
     /// `kill -9` — everything recovery needs is already on disk
     /// (journal + last checkpoint). Used by crash-recovery tests.
     pub fn halt_abandon(&self) {
-        let mut st = self.inner.state.lock().expect("service state");
-        st.halted = true;
-        st.phase = ServicePhase::Stopped;
-        drop(st);
-        self.inner.hard_cancel.cancel();
-        self.inner.wake.notify_all();
-        self.inner.done.notify_all();
-        let handles: Vec<_> = self
-            .workers
-            .lock()
-            .expect("worker handles")
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
+        self.engine.halt();
+        self.hard_cancel.cancel();
+        self.join_pool();
+    }
+
+    fn join_pool(&self) {
+        if let Some(pool) = self.pool.lock().expect("worker pool").take() {
+            let _ = pool.join();
         }
     }
 
@@ -1048,234 +973,12 @@ impl Service {
     /// cancelling it stops in-flight guest execution at the next limit
     /// check (the second-signal escalation path).
     pub fn hard_cancel_token(&self) -> CancelToken {
-        self.inner.hard_cancel.clone()
+        self.hard_cancel.clone()
     }
 
     /// The directory this service checkpoints into.
     pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-}
-
-/// One worker: park on the condvar → pop → execute → persist → update,
-/// until drained (queue empty and intake closed) or halted.
-fn worker_loop(inner: &Arc<Inner>, worker: u64) {
-    loop {
-        let (id, spec, faults, client) = {
-            let mut st = inner.state.lock().expect("service state");
-            loop {
-                if st.halted {
-                    return;
-                }
-                if st.phase != ServicePhase::Accepting {
-                    // Draining: queued jobs stay pending (they re-queue
-                    // on the next start); only in-flight peers — already
-                    // past this loop — finish their jobs.
-                    return;
-                }
-                if !st.paused {
-                    if let Some(id) = st.queue.pop_front() {
-                        let now = Instant::now();
-                        let rec = &mut st.jobs[id as usize];
-                        rec.state = JobState::Running;
-                        rec.started_at = Some(now);
-                        let queue_wait_us =
-                            now.saturating_duration_since(rec.admitted_at).as_micros() as u64;
-                        st.running += 1;
-                        let rec = &st.jobs[id as usize];
-                        let (spec, client) = (rec.spec.clone(), rec.client.clone());
-                        // Still under the state lock: `started` lands on
-                        // the bus strictly after this job's `queued`.
-                        inner.bus.publish(Event::job_event(
-                            id,
-                            &client,
-                            &spec.name,
-                            Payload::Started { worker },
-                        ));
-                        inner
-                            .hists
-                            .lock()
-                            .expect("service hists")
-                            .observe("service.queue_wait_us", queue_wait_us);
-                        break (id, spec, inner.config.fault_plan.faults_for(id), client);
-                    }
-                }
-                st = inner.wake.wait(st).expect("service state");
-            }
-        };
-        // Live retry/quarantine events stream from inside the executor
-        // (on this worker thread, outside any lock) — between this
-        // job's `started` and its terminal event, which is all the
-        // ordering the per-job lifecycle promises.
-        let mut observer = |ev: ExecEvent| {
-            let payload = match ev {
-                ExecEvent::Retrying {
-                    attempt,
-                    class,
-                    delay_ms,
-                } => Payload::Retrying {
-                    class: class.as_str().to_string(),
-                    attempt,
-                    delay_ms,
-                },
-                ExecEvent::Quarantined { attempt, reason } => {
-                    Payload::Quarantined { attempt, reason }
-                }
-            };
-            inner
-                .bus
-                .publish(Event::job_event(id, &client, &spec.name, payload));
-        };
-        let execution = inner
-            .executor
-            .execute_observed(id, &spec, faults, true, &mut observer);
-        finish_job(inner, id, execution);
-    }
-}
-
-/// Persists one finished job's artifacts/quarantines (outside the state
-/// lock) and folds its terminal state into the service (under it).
-fn finish_job(inner: &Inner, id: u64, execution: crate::supervisor::JobExecution) {
-    let c = &inner.counters;
-    c.retries
-        .fetch_add(u64::from(execution.retries), Ordering::Relaxed);
-    c.panics
-        .fetch_add(u64::from(execution.panics), Ordering::Relaxed);
-    c.limit_stops
-        .fetch_add(u64::from(execution.limit_stops), Ordering::Relaxed);
-    let mut io_error: Option<String> = None;
-    let stem = format!("job-{id:06}");
-    if !execution.quarantines.is_empty() {
-        c.quarantined
-            .fetch_add(execution.quarantines.len() as u64, Ordering::Relaxed);
-        if let Err(e) =
-            crate::supervisor::write_quarantine(&inner.dir, &stem, &execution.quarantines)
-        {
-            io_error = Some(format!("quarantine: {e}"));
-        } else if inner.config.quarantine_cap > 0 {
-            match manifest::prune_quarantine(
-                &inner.dir.join("quarantine"),
-                inner.config.quarantine_cap,
-            ) {
-                Ok(n) => {
-                    c.quarantine_pruned.fetch_add(n, Ordering::Relaxed);
-                }
-                Err(e) => io_error = Some(format!("quarantine rotation: {e}")),
-            }
-        }
-    }
-    let (state, flow_ref, cct_ref, detail) = match &execution.outcome {
-        ExecOutcome::Done { flow, cct } => {
-            let mut refs = [None, None];
-            for ((bytes, ext), slot) in [(flow, "flow"), (cct, "cct")].iter().zip(refs.iter_mut()) {
-                if let Some(b) = bytes {
-                    let file = format!("{stem}.{ext}");
-                    match manifest::write_atomic(&inner.dir.join(&file), b) {
-                        Ok(()) => *slot = Some(ProfileRef::for_bytes(file, b)),
-                        Err(e) => io_error = Some(format!("artifact {file}: {e}")),
-                    }
-                }
-            }
-            let [f, ct] = refs;
-            (JobState::Done, f, ct, String::new())
-        }
-        ExecOutcome::Failed(f) => (JobState::Failed, None, None, f.to_string()),
-    };
-    let mut st = inner.state.lock().expect("service state");
-    if st.halted {
-        // Simulated kill -9: the result is abandoned. Any artifact
-        // bytes already written are harmless — recovery re-runs the job
-        // and (deterministically) rewrites them byte-identically.
-        return;
-    }
-    let (client, name, wall_us) = {
-        let rec = &mut st.jobs[id as usize];
-        rec.state = state;
-        rec.attempts = execution.attempts;
-        rec.cycles = execution.cycles;
-        rec.uops = execution.uops;
-        rec.detail = detail;
-        rec.flow = flow_ref;
-        rec.cct = cct_ref;
-        let wall_us = rec.started_at.map_or(0, |t| t.elapsed().as_micros() as u64);
-        (rec.client.clone(), rec.spec.name.clone(), wall_us)
-    };
-    if let Some(n) = st.active_by_client.get_mut(&client) {
-        *n = n.saturating_sub(1);
-    }
-    st.running -= 1;
-    // Terminal event: journaled (fsynced) so a restart can replay it
-    // for adopted jobs, then published under the state lock so it
-    // closes this job's lifecycle on the bus. Journal failures degrade
-    // telemetry, not the job — warn and move on.
-    let event_line = event_journal_line(
-        id,
-        &client,
-        &name,
-        state.as_str(),
-        wall_us,
-        execution.attempts,
-    );
-    if let Err(e) = append_journal(&mut st.events_journal, &event_line) {
-        pp_obs::warn!("service: terminal-event journal write failed: {e}");
-    }
-    inner.bus.publish(Event::job_event(
-        id,
-        &client,
-        &name,
-        Payload::Done {
-            outcome: state.as_str().to_string(),
-            wall_us,
-            attempts: execution.attempts,
-        },
-    ));
-    inner
-        .hists
-        .lock()
-        .expect("service hists")
-        .observe("service.exec_wall_us", wall_us);
-    match state {
-        JobState::Done => {
-            c.done.fetch_add(1, Ordering::Relaxed);
-        }
-        JobState::Failed => {
-            c.failed.fetch_add(1, Ordering::Relaxed);
-            let rec = &st.jobs[id as usize];
-            pp_obs::warn!(
-                "service: job {} ({}) failed after {} attempts: {}",
-                id,
-                rec.spec.name,
-                rec.attempts,
-                rec.detail
-            );
-        }
-        JobState::Queued | JobState::Running => unreachable!("terminal states only"),
-    }
-    st.since_checkpoint += 1;
-    if st.since_checkpoint >= inner.config.checkpoint_every.max(1) {
-        st.since_checkpoint = 0;
-        let snapshot = snapshot_manifest(&inner.config, &st.jobs);
-        match snapshot.save_atomic(&inner.dir) {
-            Ok(()) => {
-                c.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => io_error = Some(format!("checkpoint: {e}")),
-        }
-    }
-    if st.io_error.is_none() {
-        st.io_error = io_error;
-    }
-    drop(st);
-    inner.done.notify_all();
-}
-
-/// The manifest snapshot of the current job table. Identical in format
-/// to the batch supervisor's — `pp verify` walks either.
-fn snapshot_manifest(config: &ServiceConfig, jobs: &[JobRecord]) -> BatchManifest {
-    BatchManifest {
-        seed: config.seed,
-        params: config.params.clone(),
-        jobs: jobs.iter().map(JobRecord::entry).collect(),
+        &self.dir
     }
 }
 
@@ -1293,8 +996,8 @@ fn journal_line(id: u64, client: &str, name: &str, spec: &str) -> String {
     line
 }
 
-/// Appends and fsyncs one journal line; the admission is durable when
-/// this returns.
+/// Appends and fsyncs one journal line; the line is durable when this
+/// returns. The one write path of both journals.
 fn append_journal(journal: &mut File, line: &str) -> std::io::Result<()> {
     journal.write_all(line.as_bytes())?;
     journal.sync_data()
@@ -1314,265 +1017,90 @@ fn admit_hist_name(kind: &str) -> &'static str {
 }
 
 /// One canonical-JSON terminal-event journal line (newline-terminated).
-fn event_journal_line(
-    id: u64,
-    client: &str,
-    name: &str,
-    outcome: &str,
-    wall_us: u64,
-    attempts: u32,
-) -> String {
+fn event_journal_line(id: u64, rec: &JobRecord<'_>, outcome: &str, wall_us: u64) -> String {
     let mut line = Json::Obj(vec![
         ("job".to_string(), Json::Num(id as f64)),
-        ("client".to_string(), Json::Str(client.to_string())),
-        ("name".to_string(), Json::Str(name.to_string())),
+        ("client".to_string(), Json::Str(rec.client.clone())),
+        ("name".to_string(), Json::Str(rec.entry.name.clone())),
         ("outcome".to_string(), Json::Str(outcome.to_string())),
         ("wall_us".to_string(), Json::Num(wall_us as f64)),
-        ("attempts".to_string(), Json::Num(f64::from(attempts))),
+        (
+            "attempts".to_string(),
+            Json::Num(f64::from(rec.entry.attempts)),
+        ),
     ])
     .render();
     line.push('\n');
     line
 }
 
-/// What the terminal-event journal remembers about one finished job.
-struct TerminalNote {
-    wall_us: u64,
+/// What [`replay_journal`] does with a complete line that does not
+/// parse, or that the replay callback rejects.
+#[derive(Clone, Copy)]
+enum OnCorrupt {
+    /// The journal is the source of truth: fail with the error (the
+    /// intake journal).
+    Fail,
+    /// The journal is telemetry: drop that line and everything after it
+    /// (the terminal-event journal).
+    Truncate,
 }
 
-/// What [`recover`] hands back to [`Service::start`].
-struct Recovered {
-    jobs: Vec<JobRecord>,
-    journal: File,
-    events_journal: File,
-    /// Latest terminal-event journal entry per job id (a job re-run
-    /// after a failed adoption writes a second line; last wins).
-    terminal_notes: HashMap<u64, TerminalNote>,
-}
-
-/// Opens (creating if absent) the terminal-event journal and replays
-/// its parseable prefix. Unlike the intake journal this is telemetry,
-/// not truth: a torn or unparsable tail is truncated with a warning,
-/// never a startup failure.
-fn recover_events_journal(dir: &Path) -> Result<(File, HashMap<u64, TerminalNote>), PpError> {
-    let path = dir.join(EVENTS_FILE);
+/// Opens (creating if absent) the JSONL journal at `path` and feeds each
+/// complete line, with its 0-based index, to `each`. A final line
+/// without a newline is a torn append — the process died before the
+/// fsync, so it was never acknowledged — and is dropped. The file is
+/// truncated to the replayed prefix and returned positioned for
+/// [`append_journal`].
+fn replay_journal(
+    path: &Path,
+    on_corrupt: OnCorrupt,
+    mut each: impl FnMut(usize, &Json) -> Result<(), PpError>,
+) -> Result<File, PpError> {
+    let io = |e| PpError::io(path.display().to_string(), e);
     let mut file = OpenOptions::new()
         .create(true)
         .truncate(false)
         .read(true)
         .write(true)
-        .open(&path)
-        .map_err(|e| PpError::io(path.display().to_string(), e))?;
+        .open(path)
+        .map_err(io)?;
     let mut text = String::new();
-    file.read_to_string(&mut text)
-        .map_err(|e| PpError::io(path.display().to_string(), e))?;
-    let mut notes: HashMap<u64, TerminalNote> = HashMap::new();
-    let mut good_bytes = 0u64;
-    for line in text.split_inclusive('\n') {
+    file.read_to_string(&mut text).map_err(io)?;
+    let mut good = 0;
+    for (n, line) in text.split_inclusive('\n').enumerate() {
         if !line.ends_with('\n') {
             pp_obs::warn!(
-                "service: dropping torn event-journal tail ({} bytes)",
+                "{}: dropping torn tail ({} bytes)",
+                path.display(),
                 line.len()
             );
             break;
         }
-        let Ok(parsed) = pp_obs::json::parse(line.trim()) else {
-            pp_obs::warn!("service: dropping corrupt event-journal tail");
-            break;
-        };
-        let Some(job) = parsed.get("job").and_then(Json::as_f64) else {
-            pp_obs::warn!("service: dropping event-journal tail lacking \"job\"");
-            break;
-        };
-        let wall_us = parsed.get("wall_us").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-        notes.insert(job as u64, TerminalNote { wall_us });
-        good_bytes += line.len() as u64;
+        let replayed = pp_obs::json::parse(line.trim())
+            .map_err(|e| {
+                PpError::Corrupt(SerializeError::Format(format!(
+                    "{} line {n}: {e}",
+                    path.display()
+                )))
+            })
+            .and_then(|json| each(n, &json));
+        match (replayed, on_corrupt) {
+            (Ok(()), _) => good += line.len(),
+            (Err(e), OnCorrupt::Fail) => return Err(e),
+            (Err(e), OnCorrupt::Truncate) => {
+                pp_obs::warn!("{}: dropping corrupt tail: {e}", path.display());
+                break;
+            }
+        }
     }
-    if good_bytes != text.len() as u64 {
-        file.set_len(good_bytes)
+    if good != text.len() {
+        file.set_len(good as u64)
             .and_then(|()| file.sync_data())
-            .map_err(|e| PpError::io(path.display().to_string(), e))?;
+            .map_err(io)?;
     }
-    file.seek(SeekFrom::End(0))
-        .map_err(|e| PpError::io(path.display().to_string(), e))?;
-    Ok((file, notes))
-}
-
-/// Replays `dir`'s intake journal and checkpoint manifest into the
-/// initial job table: journaled jobs re-resolve and queue; manifest
-/// entries whose terminal state (and artifact bytes) still validate are
-/// adopted without re-running. Returns the table and the journal file
-/// positioned for appending (with any torn tail line truncated away).
-fn recover(
-    config: &ServiceConfig,
-    resolver: &SpecResolver,
-    dir: &Path,
-    counters: &Counters,
-) -> Result<Recovered, PpError> {
-    use pp_cct::SerializeError;
-    let path = dir.join(JOURNAL_FILE);
-    let mut journal = OpenOptions::new()
-        .create(true)
-        .truncate(false)
-        .read(true)
-        .write(true)
-        .open(&path)
-        .map_err(|e| PpError::io(path.display().to_string(), e))?;
-    let mut text = String::new();
-    journal
-        .read_to_string(&mut text)
-        .map_err(|e| PpError::io(path.display().to_string(), e))?;
-
-    let mut jobs: Vec<JobRecord> = Vec::new();
-    let mut good_bytes = 0u64;
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
-            // A torn tail: the process died mid-append before the
-            // fsync, so the submit was never acknowledged. Drop it.
-            pp_obs::warn!(
-                "service: dropping torn intake-journal tail ({} bytes)",
-                line.len()
-            );
-            break;
-        }
-        let parsed = pp_obs::json::parse(line.trim()).map_err(|e| {
-            PpError::Corrupt(SerializeError::Format(format!(
-                "intake journal line {}: {e}",
-                jobs.len()
-            )))
-        })?;
-        let field_str = |key: &str| -> Result<String, PpError> {
-            parsed
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| {
-                    PpError::Corrupt(SerializeError::Format(format!(
-                        "intake journal line {} lacks \"{key}\"",
-                        jobs.len()
-                    )))
-                })
-        };
-        let id = parsed.get("id").and_then(Json::as_f64).ok_or_else(|| {
-            PpError::Corrupt(SerializeError::Format(format!(
-                "intake journal line {} lacks \"id\"",
-                jobs.len()
-            )))
-        })? as u64;
-        if id != jobs.len() as u64 {
-            return Err(PpError::Corrupt(SerializeError::Format(format!(
-                "intake journal out of order: line {} claims id {id}",
-                jobs.len()
-            ))));
-        }
-        let client = field_str("client")?;
-        let name = field_str("name")?;
-        let spec = field_str("spec")?;
-        let (program, run_config) = resolver(&spec).map_err(|e| {
-            PpError::Usage(format!(
-                "journaled job {id} spec \"{spec}\" no longer resolves: {e}"
-            ))
-        })?;
-        jobs.push(JobRecord {
-            client,
-            spec: JobSpec::new(name, program, run_config),
-            state: JobState::Queued,
-            attempts: 0,
-            cycles: 0,
-            uops: 0,
-            detail: String::new(),
-            flow: None,
-            cct: None,
-            admitted_at: Instant::now(),
-            started_at: None,
-        });
-        good_bytes += line.len() as u64;
-    }
-    if good_bytes != text.len() as u64 {
-        journal
-            .set_len(good_bytes)
-            .and_then(|()| journal.sync_data())
-            .map_err(|e| PpError::io(path.display().to_string(), e))?;
-    }
-    journal
-        .seek(SeekFrom::End(0))
-        .map_err(|e| PpError::io(path.display().to_string(), e))?;
-
-    let mut adopted = 0u64;
-    if dir.join(manifest::MANIFEST_FILE).is_file() {
-        let prior = BatchManifest::load(dir).map_err(PpError::from)?;
-        if prior.seed != config.seed || prior.params != config.params {
-            return Err(PpError::Usage(format!(
-                "checkpoint was written by a different service \
-                 (stored seed {} params \"{}\", live seed {} params \"{}\")",
-                prior.seed, prior.params, config.seed, config.params
-            )));
-        }
-        if prior.jobs.len() > jobs.len() {
-            return Err(PpError::Corrupt(SerializeError::Format(format!(
-                "manifest has {} jobs but the intake journal admitted {}",
-                prior.jobs.len(),
-                jobs.len()
-            ))));
-        }
-        for (i, entry) in prior.jobs.iter().enumerate() {
-            if entry.name != jobs[i].spec.name {
-                return Err(PpError::Corrupt(SerializeError::Format(format!(
-                    "manifest job {i} is \"{}\" but the journal admitted \"{}\"",
-                    entry.name, jobs[i].spec.name
-                ))));
-            }
-            let adopt = match entry.status {
-                JobStatus::Pending => false,
-                JobStatus::Failed => true,
-                JobStatus::Done => {
-                    let ok = entry
-                        .flow
-                        .iter()
-                        .chain(entry.cct.iter())
-                        .all(|r| r.validates(dir));
-                    if !ok {
-                        pp_obs::warn!(
-                            "service: job {i} artifact bytes do not validate; re-running"
-                        );
-                    }
-                    ok
-                }
-            };
-            if adopt {
-                let rec = &mut jobs[i];
-                rec.state = match entry.status {
-                    JobStatus::Done => JobState::Done,
-                    _ => JobState::Failed,
-                };
-                rec.attempts = entry.attempts;
-                rec.cycles = entry.cycles;
-                rec.uops = entry.uops;
-                rec.detail = entry.detail.clone();
-                rec.flow = entry.flow.clone();
-                rec.cct = entry.cct.clone();
-                adopted += 1;
-            }
-        }
-    }
-    let requeued = jobs.iter().filter(|j| j.state == JobState::Queued).count() as u64;
-    if !jobs.is_empty() {
-        pp_obs::info!(
-            "service: recovered {} journaled jobs ({adopted} adopted, {requeued} re-queued)",
-            jobs.len()
-        );
-    }
-    counters.recovered_adopted.store(adopted, Ordering::Relaxed);
-    counters
-        .recovered_requeued
-        .store(requeued, Ordering::Relaxed);
-    let (events_journal, terminal_notes) = recover_events_journal(dir)?;
-    Ok(Recovered {
-        jobs,
-        journal,
-        events_journal,
-        terminal_notes,
-    })
+    file.seek(SeekFrom::End(0)).map_err(io)?;
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -1591,6 +1119,60 @@ mod tests {
             v.get("spec").and_then(Json::as_str),
             Some("target=loops scale=0.1")
         );
+    }
+
+    /// Replays `text` as a journal under `on_corrupt`; returns the
+    /// replayed line indices, or the error, and the bytes left on disk.
+    fn replay(
+        tag: &str,
+        text: &str,
+        on_corrupt: OnCorrupt,
+    ) -> (Result<Vec<usize>, String>, String) {
+        let path = std::env::temp_dir().join(format!("pp-journal-{tag}-{}", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let mut seen = Vec::new();
+        let result = replay_journal(&path, on_corrupt, |n, line| {
+            line.get("id")
+                .ok_or_else(|| PpError::Usage("lacks id".to_string()))?;
+            seen.push(n);
+            Ok(())
+        })
+        .map(|_| seen)
+        .map_err(|e| e.to_string());
+        let left = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        (result, left)
+    }
+
+    #[test]
+    fn journals_drop_a_torn_tail_under_both_policies() {
+        let clean = "{\"id\":0}\n{\"id\":1}\n";
+        for (tag, policy) in [
+            ("torn-fail", OnCorrupt::Fail),
+            ("torn-trunc", OnCorrupt::Truncate),
+        ] {
+            let (result, left) = replay(tag, &format!("{clean}{{\"id\":2"), policy);
+            assert_eq!(result, Ok(vec![0, 1]), "{tag}");
+            assert_eq!(left, clean, "{tag}: the torn tail is truncated away");
+        }
+    }
+
+    #[test]
+    fn a_corrupt_middle_line_fails_intake_and_truncates_events() {
+        let text = "{\"id\":0}\nnot json\n{\"id\":2}\n{\"x\":3}\n";
+        let (result, left) = replay("mid-fail", text, OnCorrupt::Fail);
+        assert!(result.unwrap_err().contains("line 1"));
+        assert_eq!(left, text, "a refused journal is left as found");
+        let (result, left) = replay("mid-trunc", text, OnCorrupt::Truncate);
+        assert_eq!(result, Ok(vec![0]));
+        assert_eq!(
+            left, "{\"id\":0}\n",
+            "everything from the corrupt line is dropped"
+        );
+        // A line the callback rejects counts as corrupt too.
+        let text = "{\"id\":0}\n{\"x\":1}\n";
+        assert!(replay("cb-fail", text, OnCorrupt::Fail).0.is_err());
+        assert_eq!(replay("cb-trunc", text, OnCorrupt::Truncate).0, Ok(vec![0]));
     }
 
     #[test]

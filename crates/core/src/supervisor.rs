@@ -25,40 +25,34 @@
 //!   stops job scheduling, drains in-flight jobs, and still writes a
 //!   final manifest.
 //!
-//! The per-job attempt/retry state machine lives in [`JobExecutor`] so
-//! other schedulers — notably the long-running
-//! [`Service`](crate::service::Service) — can drive the same isolation,
-//! classification, backoff, and quarantine behavior from their own
-//! queues. The per-job state machine is `queued → running → (retrying →
-//! running)* → done | failed`; only `queued` (as pending), `done`, and
-//! `failed` are ever persisted. Everything persisted is a function of
-//! the campaign inputs — same seed and jobs ⇒ byte-identical final
-//! manifest, regardless of worker count, interleaving, or an
-//! interruption-and-resume in between.
+//! The per-job attempt/retry state machine lives in [`JobExecutor`];
+//! the worker pool, the fold of each finished job into the manifest,
+//! and the resume rule live in the job engine that
+//! [`Supervisor::run`] shares with the long-running
+//! [`Service`](crate::service::Service). The per-job state machine is
+//! `queued → running → (retrying → running)* → done | failed`; only
+//! `queued` (as pending), `done`, and `failed` are ever persisted.
+//! Everything persisted is a function of the campaign inputs — same
+//! seed and jobs ⇒ byte-identical final manifest, regardless of worker
+//! count, interleaving, or an interruption-and-resume in between.
 
 pub mod manifest;
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc;
-use std::sync::{Mutex, Once};
+use std::sync::Arc;
 use std::time::Duration;
 
 use pp_ir::Program;
 use pp_obs::Recorder;
 use pp_usim::{CancelToken, ExecError, FaultPlan, LimitKind};
 
+use crate::engine::{self, Engine, EngineConfig, JobRecord};
 use crate::error::PpError;
 use crate::profiler::{ProfileError, Profiler, RunConfig, RunOutcome};
 use crate::splitmix64;
-use manifest::{BatchManifest, JobEntry, JobStatus, ProfileRef};
-
-/// Name prefix of supervisor worker threads (the panic hook suppresses
-/// the default backtrace spew for injected/caught worker panics). The
-/// service layer names its workers with the same prefix so they share
-/// the suppression.
-pub(crate) const WORKER_THREAD_PREFIX: &str = "pp-batch-worker";
+use manifest::BatchManifest;
 
 /// Where an injected transient fault aborts the guest, in µops.
 const TRANSIENT_ABORT_UOPS: u64 = 5_000;
@@ -227,7 +221,8 @@ pub struct BatchFaultPlan {
     pub truncate_checkpoint: Option<(u32, u64)>,
     /// Stop the campaign abruptly after checkpoint write number `.0`
     /// (1-based): no draining, no final manifest — the library-level
-    /// stand-in for `kill -9`.
+    /// stand-in for `kill -9`, the same halt as
+    /// [`Service::halt_abandon`](crate::Service::halt_abandon).
     pub halt_after_checkpoints: Option<u32>,
     /// Clobber the hardware counters mid-run on job `.0` for its first
     /// `.1` attempts, corrupting the profile in a way only post-run
@@ -272,7 +267,7 @@ impl BatchFaultPlan {
 
     /// The per-job fault slice of this plan for job `idx` — what a
     /// [`JobExecutor`] can inject on its own (the checkpoint-level
-    /// injections stay with the coordinator).
+    /// injections stay with the job engine).
     pub fn job_faults(&self, idx: usize) -> JobFaults {
         let pick = |o: Option<(usize, u32)>| o.map_or(0, |(j, n)| if j == idx { n } else { 0 });
         JobFaults {
@@ -384,7 +379,7 @@ pub struct QuarantinedAttempt {
     pub report: String,
 }
 
-/// Everything one [`JobExecutor::execute`] call did: the outcome, the
+/// Everything one [`JobExecutor::execute_observed`] call did: the outcome, the
 /// attempt accounting, the quarantined artifacts, and the classified
 /// retry schedule.
 #[derive(Clone, Debug)]
@@ -493,22 +488,11 @@ impl JobExecutor {
     /// `want_profiles`, as serialized bytes) before it counts as done; a
     /// verification failure quarantines the artifacts and earns exactly
     /// one re-run before the job is marked permanently failed.
-    pub fn execute(
-        &self,
-        idx: u64,
-        job: &JobSpec,
-        faults: JobFaults,
-        want_profiles: bool,
-    ) -> JobExecution {
-        self.execute_observed(idx, job, faults, want_profiles, &mut |_| {})
-    }
-
-    /// [`JobExecutor::execute`] with a live observer: `observer` is
-    /// called *as* retries are scheduled and profiles quarantined (not
-    /// after the fact from [`JobExecution`]), so the service layer can
-    /// publish `retrying` / `quarantined` events while the job is still
-    /// running. The observer runs on the worker thread; it must not
-    /// block.
+    /// `observer` is called *as* retries are scheduled and profiles
+    /// quarantined (not after the fact from [`JobExecution`]), so the
+    /// service layer can publish `retrying` / `quarantined` events while
+    /// the job is still running. The observer runs on the worker thread;
+    /// it must not block.
     pub fn execute_observed(
         &self,
         idx: u64,
@@ -724,12 +708,10 @@ impl BatchReport {
 /// [`Supervisor::run`].
 #[derive(Clone, Debug)]
 pub struct Supervisor {
-    profiler: Profiler,
+    /// The per-job executor the workers run (profiler, retries,
+    /// backoff, seed).
+    executor: JobExecutor,
     workers: usize,
-    max_retries: u32,
-    backoff_base_ms: u64,
-    backoff_cap_ms: u64,
-    seed: u64,
     params: String,
     checkpoint_dir: Option<PathBuf>,
     checkpoint_every: u32,
@@ -741,12 +723,8 @@ pub struct Supervisor {
 impl Default for Supervisor {
     fn default() -> Supervisor {
         Supervisor {
-            profiler: Profiler::default(),
+            executor: JobExecutor::default(),
             workers: 2,
-            max_retries: 2,
-            backoff_base_ms: 4,
-            backoff_cap_ms: 250,
-            seed: 0,
             params: String::new(),
             checkpoint_dir: None,
             checkpoint_every: 1,
@@ -762,7 +740,7 @@ impl Supervisor {
     /// machine configuration and any [`GuestLimits`](pp_usim::GuestLimits)).
     pub fn new(profiler: Profiler) -> Supervisor {
         Supervisor {
-            profiler,
+            executor: JobExecutor::new(profiler),
             ..Supervisor::default()
         }
     }
@@ -775,7 +753,7 @@ impl Supervisor {
 
     /// Retry budget for transient failures (attempts = retries + 1).
     pub fn with_max_retries(mut self, retries: u32) -> Supervisor {
-        self.max_retries = retries;
+        self.executor = self.executor.with_max_retries(retries);
         self
     }
 
@@ -783,14 +761,13 @@ impl Supervisor {
     /// (1-based) is `min(cap, base·2ⁿ⁻¹) + jitter`, jitter seeded from
     /// `(seed, job, attempt)` — deterministic across runs.
     pub fn with_backoff_ms(mut self, base: u64, cap: u64) -> Supervisor {
-        self.backoff_base_ms = base;
-        self.backoff_cap_ms = cap.max(base);
+        self.executor = self.executor.with_backoff_ms(base, cap);
         self
     }
 
     /// Seed for backoff jitter; stored in the manifest.
     pub fn with_seed(mut self, seed: u64) -> Supervisor {
-        self.seed = seed;
+        self.executor = self.executor.with_seed(seed);
         self
     }
 
@@ -843,14 +820,6 @@ impl Supervisor {
         self.cancel.clone()
     }
 
-    /// The per-job executor this supervisor's workers run.
-    fn executor(&self) -> JobExecutor {
-        JobExecutor::new(self.profiler.clone())
-            .with_max_retries(self.max_retries)
-            .with_backoff_ms(self.backoff_base_ms, self.backoff_cap_ms)
-            .with_seed(self.seed)
-    }
-
     /// Runs the campaign. With `resume`, a valid manifest in the
     /// checkpoint directory pre-marks finished jobs (their profile bytes
     /// are re-validated against the stored CRCs; mismatches re-run); a
@@ -858,7 +827,9 @@ impl Supervisor {
     ///
     /// Job execution failures never abort the campaign — they land in
     /// the manifest as `failed` entries. The `Err` cases are
-    /// campaign-level: unusable resume state or checkpoint I/O.
+    /// campaign-level: unusable resume state or checkpoint I/O. A job
+    /// whose profile cannot be written stays pending in the manifest, so
+    /// a resume re-runs it.
     ///
     /// # Errors
     ///
@@ -868,267 +839,68 @@ impl Supervisor {
     /// altered manifest; [`PpError::Io`] when checkpoint writes fail.
     pub fn run(&self, jobs: &[JobSpec], resume: bool) -> Result<BatchReport, PpError> {
         let _span = pp_obs::span!("batch.run");
-        suppress_worker_panic_output();
         if let Some(dir) = &self.checkpoint_dir {
             std::fs::create_dir_all(dir).map_err(|e| PpError::io(dir.display().to_string(), e))?;
         }
-
-        let mut entries: Vec<JobEntry> = jobs.iter().map(|j| JobEntry::pending(&j.name)).collect();
-        let mut resumed_skips = 0u64;
-        if resume {
-            let prior = self.load_resume_state(jobs)?;
-            for (entry, old) in entries.iter_mut().zip(prior.jobs) {
-                if old.status == JobStatus::Pending {
-                    continue;
-                }
-                let dir = self.checkpoint_dir.as_deref().expect("resume has a dir");
-                let profiles_ok = old
-                    .flow
-                    .iter()
-                    .chain(old.cct.iter())
-                    .all(|r| r.validates(dir));
-                if old.status == JobStatus::Failed || profiles_ok {
-                    *entry = old;
-                    resumed_skips += 1;
-                } else {
-                    pp_obs::warn!(
-                        "checkpoint: job {} profile bytes do not validate; re-running",
-                        old.name
-                    );
-                }
+        let mut records: Vec<JobRecord> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| JobRecord::new("", Cow::Borrowed(j), self.fault_plan.job_faults(i)))
+            .collect();
+        let resumed_skips = match (resume, &self.checkpoint_dir) {
+            (false, _) => 0,
+            (true, None) => {
+                return Err(PpError::Usage(
+                    "resume requires a checkpoint directory".to_string(),
+                ))
             }
-        }
-
-        let queue: Mutex<VecDeque<usize>> = Mutex::new(
-            entries
+            (true, Some(dir)) => {
+                engine::adopt_manifest(dir, self.executor.seed, &self.params, &mut records)?
+            }
+        };
+        let config = EngineConfig {
+            workers: self.workers,
+            dir: self.checkpoint_dir.clone(),
+            stem_width: 3,
+            seed: self.executor.seed,
+            params: self.params.clone(),
+            checkpoint_every: self.checkpoint_every,
+            quarantine_cap: self.quarantine_cap,
+            fixed_intake: true,
+            paused: false,
+            stop: self.cancel.clone(),
+            halt_after_checkpoints: self.fault_plan.halt_after_checkpoints,
+            truncate_checkpoint: self.fault_plan.truncate_checkpoint,
+        };
+        let engine = Engine::new(config, self.executor.clone(), records, Arc::new(()));
+        engine.run_workers();
+        engine.finish()?;
+        let st = engine.lock();
+        let c = st.counters;
+        Ok(BatchReport {
+            manifest: engine.manifest(&st),
+            retries: c.retries,
+            panics: c.panics,
+            limit_stops: c.limit_stops,
+            checkpoint_writes: c.checkpoint_writes,
+            resumed_skips,
+            quarantined: c.quarantined,
+            quarantine_pruned: c.quarantine_pruned,
+            interrupted: st.halted || self.cancel.is_cancelled(),
+            retry_schedule: st
+                .jobs
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.status == JobStatus::Pending)
-                .map(|(i, _)| i)
-                .collect(),
-        );
-        let (tx, rx) = mpsc::channel::<WorkerMsg>();
-        let want_profiles = self.checkpoint_dir.is_some();
-
-        let mut report = BatchReport {
-            manifest: BatchManifest {
-                seed: self.seed,
-                params: self.params.clone(),
-                jobs: Vec::new(),
-            },
-            retries: 0,
-            panics: 0,
-            limit_stops: 0,
-            checkpoint_writes: 0,
-            resumed_skips,
-            quarantined: 0,
-            quarantine_pruned: 0,
-            interrupted: false,
-            retry_schedule: Vec::new(),
-        };
-
-        let coordinator_result = std::thread::scope(|scope| -> Result<(), PpError> {
-            for w in 0..self.workers {
-                let tx = tx.clone();
-                let queue = &queue;
-                std::thread::Builder::new()
-                    .name(format!("{WORKER_THREAD_PREFIX}-{w}"))
-                    .spawn_scoped(scope, move || {
-                        self.worker_loop(jobs, queue, &tx, want_profiles)
-                    })
-                    .expect("worker thread spawns");
-            }
-            drop(tx);
-
-            let mut since_checkpoint = 0u32;
-            let mut halted = false;
-            for msg in rx.iter() {
-                let exec = msg.execution;
-                report.retries += u64::from(exec.retries);
-                report.panics += u64::from(exec.panics);
-                report.limit_stops += u64::from(exec.limit_stops);
-                report
-                    .retry_schedule
-                    .extend(exec.retry_schedule.iter().map(|s| JobRetry {
-                        job: msg.idx,
+                .flat_map(|(job, r)| {
+                    r.retries.iter().map(move |s| JobRetry {
+                        job,
                         attempt: s.attempt,
                         class: s.class,
                         delay_ms: s.delay_ms,
-                    }));
-                if !exec.quarantines.is_empty() {
-                    report.quarantined += exec.quarantines.len() as u64;
-                    if let Some(dir) = &self.checkpoint_dir {
-                        let stem = format!("job-{:03}", msg.idx);
-                        write_quarantine(dir, &stem, &exec.quarantines)
-                            .map_err(|e| PpError::io("quarantine", e))?;
-                        if self.quarantine_cap > 0 {
-                            report.quarantine_pruned += manifest::prune_quarantine(
-                                &dir.join("quarantine"),
-                                self.quarantine_cap,
-                            )
-                            .map_err(|e| PpError::io("quarantine rotation", e))?;
-                        }
-                    }
-                }
-                let entry = &mut entries[msg.idx];
-                entry.attempts = exec.attempts;
-                entry.cycles = exec.cycles;
-                entry.uops = exec.uops;
-                match exec.outcome {
-                    ExecOutcome::Done { flow, cct } => {
-                        entry.status = JobStatus::Done;
-                        entry.detail.clear();
-                        if let Some(dir) = &self.checkpoint_dir {
-                            entry.flow = self
-                                .persist_profile(dir, msg.idx, "flow", flow.as_deref())
-                                .map_err(|e| PpError::io("profile checkpoint", e))?;
-                            entry.cct = self
-                                .persist_profile(dir, msg.idx, "cct", cct.as_deref())
-                                .map_err(|e| PpError::io("profile checkpoint", e))?;
-                        }
-                    }
-                    ExecOutcome::Failed(failure) => {
-                        entry.status = JobStatus::Failed;
-                        entry.detail = failure.to_string();
-                        pp_obs::warn!(
-                            "batch: job {} failed after {} attempts: {}",
-                            entry.name,
-                            entry.attempts,
-                            entry.detail
-                        );
-                    }
-                }
-                since_checkpoint += 1;
-                if self.checkpoint_dir.is_some() && since_checkpoint >= self.checkpoint_every {
-                    since_checkpoint = 0;
-                    self.write_checkpoint(&entries, &mut report)?;
-                    if self
-                        .fault_plan
-                        .halt_after_checkpoints
-                        .is_some_and(|n| report.checkpoint_writes >= u64::from(n))
-                    {
-                        // Simulated kill -9: stop consuming results and
-                        // skip every end-of-run write.
-                        halted = true;
-                        self.cancel.cancel();
-                        break;
-                    }
-                }
-            }
-            report.interrupted = halted || self.cancel.is_cancelled();
-            if !halted {
-                // Drain stragglers is unnecessary — the channel closing
-                // means every worker exited — but a graceful stop still
-                // writes the final manifest with pending entries intact.
-                if self.checkpoint_dir.is_some() {
-                    self.write_checkpoint(&entries, &mut report)?;
-                }
-            }
-            Ok(())
-        });
-        coordinator_result?;
-
-        report.retry_schedule.sort_by_key(|r| (r.job, r.attempt));
-        report.manifest.jobs = entries;
-        Ok(report)
-    }
-
-    /// Loads and cross-checks the resume manifest.
-    fn load_resume_state(&self, jobs: &[JobSpec]) -> Result<BatchManifest, PpError> {
-        let Some(dir) = &self.checkpoint_dir else {
-            return Err(PpError::Usage(
-                "resume requires a checkpoint directory".to_string(),
-            ));
-        };
-        let prior = BatchManifest::load(dir)?;
-        if prior.params != self.params || prior.seed != self.seed {
-            return Err(PpError::Usage(format!(
-                "checkpoint was written by a different campaign \
-                 (stored seed {} params \"{}\", live seed {} params \"{}\")",
-                prior.seed, prior.params, self.seed, self.params
-            )));
-        }
-        if prior.jobs.len() != jobs.len()
-            || prior.jobs.iter().zip(jobs).any(|(e, j)| e.name != j.name)
-        {
-            return Err(PpError::Usage(
-                "checkpoint job list does not match the live campaign".to_string(),
-            ));
-        }
-        Ok(prior)
-    }
-
-    /// One worker: pop → run with retries → report, until the queue is
-    /// empty or the campaign is cancelled.
-    fn worker_loop(
-        &self,
-        jobs: &[JobSpec],
-        queue: &Mutex<VecDeque<usize>>,
-        tx: &mpsc::Sender<WorkerMsg>,
-        want_profiles: bool,
-    ) {
-        let executor = self.executor();
-        loop {
-            if self.cancel.is_cancelled() {
-                return;
-            }
-            let Some(idx) = queue.lock().expect("queue lock").pop_front() else {
-                return;
-            };
-            let execution = executor.execute(
-                idx as u64,
-                &jobs[idx],
-                self.fault_plan.job_faults(idx),
-                want_profiles,
-            );
-            // A send failure means the coordinator halted; nothing left
-            // to report to.
-            if tx.send(WorkerMsg { idx, execution }).is_err() {
-                return;
-            }
-        }
-    }
-
-    /// Atomically writes `bytes` (when present) as job `idx`'s profile
-    /// file and returns its manifest ref.
-    fn persist_profile(
-        &self,
-        dir: &std::path::Path,
-        idx: usize,
-        ext: &str,
-        bytes: Option<&[u8]>,
-    ) -> std::io::Result<Option<ProfileRef>> {
-        let Some(bytes) = bytes else {
-            return Ok(None);
-        };
-        let file = format!("job-{idx:03}.{ext}");
-        manifest::write_atomic(&dir.join(&file), bytes)?;
-        Ok(Some(ProfileRef::for_bytes(file, bytes)))
-    }
-
-    /// Writes one checkpoint manifest (and applies the torn-write
-    /// injection when the plan says so).
-    fn write_checkpoint(
-        &self,
-        entries: &[JobEntry],
-        report: &mut BatchReport,
-    ) -> Result<(), PpError> {
-        let _span = pp_obs::span!("batch.checkpoint");
-        let dir = self.checkpoint_dir.as_deref().expect("checkpointing on");
-        let snapshot = BatchManifest {
-            seed: self.seed,
-            params: self.params.clone(),
-            jobs: entries.to_vec(),
-        };
-        snapshot.save_atomic(dir)?;
-        report.checkpoint_writes += 1;
-        if let Some((write, keep)) = self.fault_plan.truncate_checkpoint {
-            if report.checkpoint_writes == u64::from(write) {
-                manifest::truncate_manifest(dir, keep)
-                    .map_err(|e| PpError::io("checkpoint truncation injection", e))?;
-            }
-        }
-        Ok(())
+                    })
+                })
+                .collect(),
+        })
     }
 }
 
@@ -1144,11 +916,6 @@ fn serialize_profiles(outcome: &RunOutcome) -> (Option<Vec<u8>>, Option<Vec<u8>>
         pp_cct::write_cct(c, &mut buf).ok().map(|()| buf)
     });
     (flow, cct)
-}
-
-struct WorkerMsg {
-    idx: usize,
-    execution: JobExecution,
 }
 
 /// Renders the quarantine report for one failed verification: every
@@ -1173,51 +940,6 @@ fn quarantine_report(
     }
     s.push_str("disposition: failed integrity verification (exit code 2)\n");
     s
-}
-
-/// Writes one job's quarantined artifacts and reports under
-/// `<dir>/quarantine/`, one attempt-set per failed attempt, stems
-/// `<stem_base>-attempt-<n>`.
-pub(crate) fn write_quarantine(
-    dir: &std::path::Path,
-    stem_base: &str,
-    quarantines: &[QuarantinedAttempt],
-) -> std::io::Result<()> {
-    let qdir = dir.join("quarantine");
-    std::fs::create_dir_all(&qdir)?;
-    for q in quarantines {
-        let stem = format!("{stem_base}-attempt-{}", q.attempt);
-        if let Some(bytes) = &q.flow {
-            manifest::write_atomic(&qdir.join(format!("{stem}.flow")), bytes)?;
-        }
-        if let Some(bytes) = &q.cct {
-            manifest::write_atomic(&qdir.join(format!("{stem}.cct")), bytes)?;
-        }
-        manifest::write_atomic(
-            &qdir.join(format!("{stem}.report.txt")),
-            q.report.as_bytes(),
-        )?;
-    }
-    Ok(())
-}
-
-/// Wraps the global panic hook (once) so caught panics on supervisor
-/// worker threads don't spew the default message/backtrace to stderr —
-/// they surface as typed [`JobFailure`]s instead. Panics on every other
-/// thread keep the previous hook's behavior.
-pub(crate) fn suppress_worker_panic_output() {
-    static INSTALL: Once = Once::new();
-    INSTALL.call_once(|| {
-        let previous = panic::take_hook();
-        panic::set_hook(Box::new(move |info| {
-            let on_worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(WORKER_THREAD_PREFIX));
-            if !on_worker {
-                previous(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]

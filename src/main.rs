@@ -395,7 +395,60 @@ fn parse_seconds(flag: &str, text: String) -> Result<f64, PpError> {
     Ok(s)
 }
 
-fn parse_options(args: &[String]) -> Result<(Vec<String>, Options), PpError> {
+/// The flags each verb reads: one row per verb (a verb may continue on
+/// the next row), and the `*` row every verb takes. `parse_options`
+/// refuses any other flag, so a flag a verb would ignore is a usage
+/// error rather than silently dropped. `serve` accepts `--scale` only
+/// for scripts that pass it alongside the submit flags: every job spec
+/// carries its own scale.
+const VERB_FLAGS: &str = "
+*        --trace --trace-out --quiet
+list
+run      --scale --config --events --max-uops --cct-cap --fuel --deadline
+hot      --scale --threshold --max-uops --cct-cap --fuel --deadline
+report   --scale --threshold --max-uops --cct-cap --fuel --deadline
+cct      --scale --events --out --max-uops --cct-cap --fuel --deadline
+stats    --scale --config --events --threshold --out --max-uops --cct-cap --fuel --deadline
+verify   --scale --config --events --against --clobber-pics
+verify   --max-uops --cct-cap --fuel --deadline
+merge    --out --strict --checkpoint-dir --resume --checkpoint-every --inject --metrics
+annotate --scale --max-uops --cct-cap --fuel --deadline
+decode   --scale
+bench    --scale --smoke --out --events --repeat --fuel --deadline --check --tolerance
+bench    --emit-meta
+batch    --scale --config --events --jobs --retries --seed --checkpoint-dir --resume --inject
+batch    --quarantine-cap --max-uops --cct-cap --fuel --deadline
+serve    --socket --listen --checkpoint-dir --jobs --queue-cap --quota --max-conns
+serve    --idle-timeout --io-timeout --retries --seed --checkpoint-every --quarantine-cap
+serve    --inject-every --max-uops --cct-cap --fuel --deadline --scale
+submit   --socket --timeout --retries --seed --client --wait --deadline --scale --config --events
+status   --socket --timeout --retries --seed --wait-idle --deadline --checkpoint-dir --metrics
+status   --prom
+fetch    --socket --timeout --retries --seed --out
+watch    --socket --timeout --retries --seed --deadline --job --client --events --since --json
+chaos    --listen --upstream --plan --seed
+";
+
+/// The flags `verb` takes per [`VERB_FLAGS`]; `None` for an unknown
+/// verb.
+fn verb_flags(verb: &str) -> Option<Vec<&'static str>> {
+    let mut known = false;
+    let mut flags = Vec::new();
+    for mut row in VERB_FLAGS.lines().map(str::split_whitespace) {
+        match row.next() {
+            Some(v) if v == verb => {
+                known = true;
+                flags.extend(row);
+            }
+            Some("*") => flags.extend(row),
+            _ => {}
+        }
+    }
+    known.then_some(flags)
+}
+
+fn parse_options(verb: &str, args: &[String]) -> Result<(Vec<String>, Options), PpError> {
+    let takes = verb_flags(verb).ok_or_else(|| usage_err(usage()))?;
     let mut opts = Options::default();
     let mut positional = Vec::new();
     let mut it = args.iter();
@@ -405,6 +458,9 @@ fn parse_options(args: &[String]) -> Result<(Vec<String>, Options), PpError> {
             .ok_or_else(|| usage_err(format!("{flag} needs a value")))
     };
     while let Some(a) = it.next() {
+        if a.starts_with("--") && !takes.contains(&a.as_str()) {
+            return Err(usage_err(format!("`pp {verb}` does not take {a}")));
+        }
         match a.as_str() {
             "--config" => {
                 opts.config = value("--config", &mut it)?;
@@ -1411,7 +1467,7 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     };
     let run = || -> Result<(), PpError> {
-        let (positional, mut opts) = parse_options(&args[1..])?;
+        let (positional, mut opts) = parse_options(&cmd, &args[1..])?;
         // `pp watch` reads `--events` as an event-kind filter; everyone
         // else as the hardware-counter pair.
         if cmd != "watch" {

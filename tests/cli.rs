@@ -870,3 +870,32 @@ fn serve_round_trip_drains_on_sigterm() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn verbs_reject_flags_they_never_read() {
+    for args in [
+        &[
+            "run",
+            "129.compress",
+            "--listen",
+            "1.2.3.4:5",
+            "--max-conns",
+            "3",
+        ][..],
+        &["batch", "--queue-cap", "3"],
+        &["list", "--jobs", "4"],
+        &["status", "--inject-every", "panic=2"],
+    ] {
+        let out = pp(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("does not take"), "{args:?}: {err}");
+    }
+    // The global flags stay valid on every verb.
+    let out = pp(&["list", "--quiet", "--trace"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
