@@ -359,15 +359,9 @@ impl Profiler {
         recorder: R,
     ) -> Result<RunOutcome, ProfileError> {
         let (inst, mut sink) = self.profile_parts(program, options, cct_override, recorder)?;
-        // An observed run traces blocks, so the engine counters can be
-        // projected from the block counts after the run.
-        let machine_config = MachineConfig {
-            trace_blocks: self.machine_config.trace_blocks || R::ENABLED,
-            ..self.machine_config
-        };
         let mut machine = {
             let _span = pp_obs::span!("decode");
-            Machine::new(&inst.program, machine_config)
+            Machine::new(&inst.program, self.machine_config)
         };
         machine.inject_faults(self.fault_plan);
         machine.set_limits(self.limits.clone());
@@ -376,7 +370,10 @@ impl Profiler {
         let _span = pp_obs::span!("simulate");
         let result = machine.run(&mut sink);
         if R::ENABLED {
-            machine.engine_counters().record_to(&mut sink.recorder);
+            let cold_taken = machine.cold_taken();
+            if cold_taken > 0 {
+                sink.recorder.counter("dispatch.cold_taken", cold_taken);
+            }
             sink.fold();
         }
         let (machine, fault) = match result {

@@ -39,8 +39,6 @@ struct Tally {
     recursive: u64,
     overflow: u64,
     unwinds: u64,
-    ic_hit: u64,
-    ic_miss: u64,
     list_scan: Hist,
     ancestor_walk: Hist,
 }
@@ -116,8 +114,6 @@ impl<R: Recorder> PpSink<R> {
             ("cct.enter.recursive", t.recursive),
             ("cct.enter.overflow", t.overflow),
             ("cct.unwinds", t.unwinds),
-            ("call.ic_hit", t.ic_hit),
-            ("call.ic_miss", t.ic_miss),
         ] {
             if n > 0 {
                 rec.counter(name, n);
@@ -206,17 +202,6 @@ impl<R: Recorder> ProfSink for PpSink<R> {
                 self.tally.unwinds += 1;
             }
             cct.unwind_to(depth);
-        }
-    }
-
-    #[inline(always)]
-    fn icall_cache(&mut self, hit: bool) {
-        if R::ENABLED {
-            if hit {
-                self.tally.ic_hit += 1;
-            } else {
-                self.tally.ic_miss += 1;
-            }
         }
     }
 }

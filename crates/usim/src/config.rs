@@ -55,12 +55,6 @@ pub struct MachineConfig {
     /// Record per-block execution counts (a debugging/oracle feature;
     /// off by default — it is not part of the modeled machine).
     pub trace_blocks: bool,
-    /// Disable decode-time superinstruction fusion. The fused and
-    /// unfused arenas execute the same architectural and cost semantics
-    /// (the differential oracle cross-checks both against the reference
-    /// interpreter); this exists for that cross-check and for debugging.
-    /// The `PP_NO_FUSE` environment variable forces this on.
-    pub no_fuse: bool,
 }
 
 impl Default for MachineConfig {
@@ -89,7 +83,6 @@ impl Default for MachineConfig {
             max_call_depth: 8192,
             max_instructions: 2_000_000_000,
             trace_blocks: false,
-            no_fuse: false,
         }
     }
 }

@@ -121,16 +121,11 @@ pub(crate) enum MicroOp {
         args: TableRange,
         ret: Option<Reg>,
     },
-    /// Indirect call through a register holding a procedure index. `ic`
-    /// is a dense per-program call-site index into the machine's inline
-    /// cache: a monomorphic site revalidates its target with one compare
-    /// against the last-seen value instead of a range check (the CCT's
-    /// move-to-front insight applied to dispatch).
+    /// Indirect call through a register holding a procedure index.
     CallIndirect {
         target: Reg,
         args: TableRange,
         ret: Option<Reg>,
-        ic: u32,
     },
     /// Program the performance control register.
     SetPcr { pic0: HwEvent, pic1: HwEvent },
@@ -166,195 +161,6 @@ pub(crate) enum MicroOp {
     },
     /// Return to the caller (terminator).
     Ret,
-    // ----- superinstructions ----------------------------------------------
-    // Decode-time fusions of the hottest adjacent micro-op pairs measured
-    // by the checked-in meta-profile (crates/usim/meta/uop_meta.json).
-    // Each fused handler replays the exact primitive event sequence of
-    // its two constituents — same micro-op charges, same cache/predictor
-    // touches, in the same order — so profiles stay byte-identical; the
-    // win is one dispatch instead of two. Fusion never crosses a block
-    // boundary and never captures a `Prof` op, and the branch forms
-    // recover their predictor site key from the live frame's block
-    // (always current) instead of carrying the 8-byte key.
-    /// `Bin{dst, a, b} ; Branch{cond == dst}`: compare-and-branch.
-    FusedBinBranch {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-        taken: BlockIdx,
-        not_taken: BlockIdx,
-    },
-    /// `Bin{dst, a, imm} ; Branch{cond == dst}`: compare-immediate-and-branch.
-    FusedBinIBranch {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-        taken: BlockIdx,
-        not_taken: BlockIdx,
-    },
-    /// `Bin{dst, a, b} ; Jump`: op-and-jump.
-    FusedBinJump {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-        target: BlockIdx,
-    },
-    /// `Bin{dst, a, imm} ; Jump`: the Ball–Larus path-register bump
-    /// (`add r, r, Inc`) falling through a block end.
-    FusedBinIJump {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        imm: i64,
-        target: BlockIdx,
-    },
-    /// `Load{ldst, base, offset} ; Bin{dst, a, b}` (register operands):
-    /// load-then-op, including the dependent `a == ldst` / `b == ldst`
-    /// forms (the handler writes `ldst` before reading `a`/`b`).
-    FusedLoadBin {
-        ldst: Reg,
-        base: Reg,
-        offset: u64,
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-    },
-    /// `FBin ; FBin`: back-to-back floating-point ops — the hottest pair
-    /// in the meta-profile by far (29% of all dispatches; the FP kernels
-    /// are chains of them). Dependent forms are fine: the second op's
-    /// reads happen after the first's write-back, exactly as unfused.
-    FusedFBinFBin {
-        op1: FBinOp,
-        dst1: FReg,
-        a1: FReg,
-        b1: FReg,
-        op2: FBinOp,
-        dst2: FReg,
-        a2: FReg,
-        b2: FReg,
-    },
-    /// `Bin{imm} ; Bin{imm}` — the second-hottest pair (24%) — with both
-    /// immediates narrowed to `i32` so two of them fit the 24-byte arena
-    /// slot. Wide immediates are vanishingly rare and stay unfused.
-    FusedBinIBinI {
-        op1: BinOp,
-        dst1: Reg,
-        a1: Reg,
-        imm1: i32,
-        op2: BinOp,
-        dst2: Reg,
-        a2: Reg,
-        imm2: i32,
-    },
-    /// `FBin ; FBin ; FBin`: the FP kernels' chains are long enough that
-    /// a three-wide form pays beyond [`MicroOp::FusedFBinFBin`]; three
-    /// 7-byte halves still fit the arena slot.
-    FusedFBin3 {
-        op1: FBinOp,
-        dst1: FReg,
-        a1: FReg,
-        b1: FReg,
-        op2: FBinOp,
-        dst2: FReg,
-        a2: FReg,
-        b2: FReg,
-        op3: FBinOp,
-        dst3: FReg,
-        a3: FReg,
-        b3: FReg,
-    },
-    /// `FLoad ; FBin`: stream in an operand, combine (offset narrowed to
-    /// `u32`; static data offsets are small).
-    FusedFLoadFBin {
-        ldst: FReg,
-        base: Reg,
-        offset: u32,
-        op: FBinOp,
-        dst: FReg,
-        a: FReg,
-        b: FReg,
-    },
-    /// `FBin ; FLoad`: combine, then prefetch the next element.
-    FusedFBinFLoad {
-        op: FBinOp,
-        dst: FReg,
-        a: FReg,
-        b: FReg,
-        ldst: FReg,
-        base: Reg,
-        offset: u32,
-    },
-    /// `Bin{imm} ; Load`: index arithmetic feeding a load (both the
-    /// immediate and the offset narrowed, as above).
-    FusedBinILoad {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        imm: i32,
-        ldst: Reg,
-        base: Reg,
-        offset: u32,
-    },
-    /// `Bin{reg} ; Bin{imm}` — the mixed-operand sibling of
-    /// [`MicroOp::FusedBinIBinI`].
-    FusedBinRBinI {
-        op1: BinOp,
-        dst1: Reg,
-        a1: Reg,
-        b1: Reg,
-        op2: BinOp,
-        dst2: Reg,
-        a2: Reg,
-        imm2: i32,
-    },
-    /// `Bin{imm} ; Bin{reg}` — the other mixed-operand sibling.
-    FusedBinIBinR {
-        op1: BinOp,
-        dst1: Reg,
-        a1: Reg,
-        imm1: i32,
-        op2: BinOp,
-        dst2: Reg,
-        a2: Reg,
-        b2: Reg,
-    },
-    /// `Bin{reg} ; StoreR`: compute-then-spill.
-    FusedBinStoreR {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        b: Reg,
-        src: Reg,
-        base: Reg,
-        offset: u32,
-    },
-    /// `StoreR ; Jump`: a spill falling through a block end.
-    FusedStoreRJump {
-        src: Reg,
-        base: Reg,
-        offset: u32,
-        target: BlockIdx,
-    },
-    /// `Prof ; Prof`: adjacent profiling pseudo-ops (counter bump then
-    /// CCT transition, say). Profiling semantics replay one at a time, in
-    /// order — only the dispatch between them is elided.
-    FusedProfProf { p1: u32, p2: u32 },
-    /// `Prof ; Jump`: the ubiquitous "bump the path counter, take the
-    /// backedge" tail of an instrumented loop body.
-    FusedProfJump { p: u32, target: BlockIdx },
-    /// `Bin{imm} ; Prof`: the Ball–Larus path-register bump feeding the
-    /// profiling op that reads it.
-    FusedBinIProf {
-        op: BinOp,
-        dst: Reg,
-        a: Reg,
-        imm: i32,
-        p: u32,
-    },
 }
 
 // The whole point of the side tables: the arena the dispatch loop
@@ -362,27 +168,8 @@ pub(crate) enum MicroOp {
 const _: () = assert!(std::mem::size_of::<MicroOp>() <= 24);
 
 impl MicroOp {
-    /// True for superinstructions (their mnemonics join the fused
-    /// constituents with `+`).
-    pub(crate) fn is_fused(&self) -> bool {
-        self.mnemonic().contains('+')
-    }
-
-    /// True for the ops whose handlers are outlined off the hot loop
-    /// (counter control and non-local returns).
-    pub(crate) fn is_cold(&self) -> bool {
-        matches!(
-            self,
-            MicroOp::SetPcr { .. }
-                | MicroOp::RdPic { .. }
-                | MicroOp::WrPic { .. }
-                | MicroOp::Setjmp { .. }
-                | MicroOp::Longjmp { .. }
-        )
-    }
-
     /// Short stable name, the key the meta-profile records frequencies
-    /// under (`uop.<mnemonic>` / `pair.<a>+<b>` counters).
+    /// under (`uop.<mnemonic>` counters).
     pub(crate) fn mnemonic(&self) -> &'static str {
         match self {
             MicroOp::Mov { .. } => "mov",
@@ -414,24 +201,6 @@ impl MicroOp {
             MicroOp::Branch { .. } => "branch",
             MicroOp::Switch { .. } => "switch",
             MicroOp::Ret => "ret",
-            MicroOp::FusedBinBranch { .. } => "bin+branch",
-            MicroOp::FusedBinIBranch { .. } => "bini+branch",
-            MicroOp::FusedBinJump { .. } => "bin+jump",
-            MicroOp::FusedBinIJump { .. } => "bini+jump",
-            MicroOp::FusedLoadBin { .. } => "load+bin",
-            MicroOp::FusedFBinFBin { .. } => "fbin+fbin",
-            MicroOp::FusedBinIBinI { .. } => "bini+bini",
-            MicroOp::FusedFBin3 { .. } => "fbin+fbin+fbin",
-            MicroOp::FusedFLoadFBin { .. } => "fload+fbin",
-            MicroOp::FusedFBinFLoad { .. } => "fbin+fload",
-            MicroOp::FusedBinILoad { .. } => "bini+load",
-            MicroOp::FusedBinRBinI { .. } => "bin+bini",
-            MicroOp::FusedBinIBinR { .. } => "bini+bin",
-            MicroOp::FusedBinStoreR { .. } => "bin+storer",
-            MicroOp::FusedStoreRJump { .. } => "storer+jump",
-            MicroOp::FusedProfProf { .. } => "prof+prof",
-            MicroOp::FusedProfJump { .. } => "prof+jump",
-            MicroOp::FusedBinIProf { .. } => "bini+prof",
         }
     }
 }
@@ -450,9 +219,6 @@ pub struct DecodedProgram {
     pub(crate) call_args: Vec<Operand>,
     /// Side table for [`MicroOp::Switch`] target lists.
     pub(crate) switch_targets: Vec<BlockIdx>,
-    /// Number of indirect call sites (the machine sizes its inline cache
-    /// from this; sites are numbered densely in lowering order).
-    pub(crate) num_icall_sites: u32,
 }
 
 impl DecodedProgram {
@@ -488,7 +254,6 @@ impl DecodedProgram {
         let mut prof_ops = Vec::new();
         let mut call_args = Vec::new();
         let mut switch_targets = Vec::new();
-        let mut icall_sites = 0u32;
 
         for (pid, p) in program.iter_procedures() {
             procs.push(ProcMeta {
@@ -507,12 +272,7 @@ impl DecodedProgram {
                     orig: bid,
                 });
                 for i in &b.instrs {
-                    ops.push(lower_instr(
-                        i,
-                        &mut prof_ops,
-                        &mut call_args,
-                        &mut icall_sites,
-                    ));
+                    ops.push(lower_instr(i, &mut prof_ops, &mut call_args));
                 }
                 ops.push(lower_term(
                     &b.term,
@@ -544,51 +304,7 @@ impl DecodedProgram {
             prof_ops,
             call_args,
             switch_targets,
-            num_icall_sites: icall_sites,
         }
-    }
-
-    /// Rewrites the arena in place, fusing the hottest adjacent micro-op
-    /// pairs (per the checked-in meta-profile) into superinstructions and
-    /// re-anchoring every block's `first_op`. Pairs are matched greedily
-    /// left-to-right *within* a block — a candidate pair split across a
-    /// block end is never fused (the second op is a branch target), and
-    /// an op between two fusable ops blocks their match because only
-    /// immediately adjacent ops pair (it may start its own pair instead:
-    /// `Prof` fuses with a neighboring `Prof`, `Jump`, or path-register
-    /// bump). Everything control flow can name
-    /// survives unchanged: block entries (jump/branch/switch targets),
-    /// call resume points (`Call`/`CallIndirect` never fuse), and setjmp
-    /// resume points (`Setjmp` never fuses, so a longjmp resume offset —
-    /// recorded at runtime, post-fusion — can't land inside a pair).
-    pub(crate) fn fuse(&mut self) {
-        let mut fused = Vec::with_capacity(self.ops.len());
-        for bi in 0..self.blocks.len() {
-            let Range { start, end } = self.block_ops(bi);
-            self.blocks[bi].first_op = fused.len() as u32;
-            let mut r = start;
-            while r < end {
-                // Widest match first: a triple, then a pair, then the op
-                // alone. Still greedy left-to-right, still block-local.
-                if r + 2 < end {
-                    if let Some(f) = fuse_triple(&self.ops[r], &self.ops[r + 1], &self.ops[r + 2]) {
-                        fused.push(f);
-                        r += 3;
-                        continue;
-                    }
-                }
-                if r + 1 < end {
-                    if let Some(f) = fuse_pair(&self.ops[r], &self.ops[r + 1]) {
-                        fused.push(f);
-                        r += 2;
-                        continue;
-                    }
-                }
-                fused.push(self.ops[r].clone());
-                r += 1;
-            }
-        }
-        self.ops = fused;
     }
 
     /// The arena range of dense block `bi`'s micro-ops. Blocks are
@@ -618,13 +334,6 @@ impl DecodedProgram {
     /// Number of micro-ops in the arena.
     pub fn num_ops(&self) -> usize {
         self.ops.len()
-    }
-
-    /// Number of fused superinstructions in the arena. Fused mnemonics
-    /// are exactly the `+`-joined ones, so the check needs no variant
-    /// list to keep in sync.
-    pub fn num_fused_ops(&self) -> usize {
-        self.ops.iter().filter(|op| op.is_fused()).count()
     }
 
     /// Number of blocks in the dense `(proc, block)` numbering.
@@ -739,9 +448,7 @@ fn validate_proc(
                     reg(*r);
                 }
             }
-            MicroOp::CallIndirect {
-                target, args, ret, ..
-            } => {
+            MicroOp::CallIndirect { target, args, ret } => {
                 reg(*target);
                 sides.call_args[args.start as usize..(args.start + args.len) as usize]
                     .iter()
@@ -793,521 +500,11 @@ fn validate_proc(
                     .for_each(|t| block(*t));
                 block(*default);
             }
-            // Superinstructions are synthesized by `fuse` *after* this
-            // pass runs, from already-validated constituents; the arms
-            // exist so a fused arena revalidates cleanly too.
-            MicroOp::FusedBinBranch {
-                dst,
-                a,
-                b,
-                taken,
-                not_taken,
-                ..
-            } => {
-                reg(*dst);
-                reg(*a);
-                reg(*b);
-                block(*taken);
-                block(*not_taken);
-            }
-            MicroOp::FusedBinIBranch {
-                dst,
-                a,
-                taken,
-                not_taken,
-                ..
-            } => {
-                reg(*dst);
-                reg(*a);
-                block(*taken);
-                block(*not_taken);
-            }
-            MicroOp::FusedBinJump {
-                dst, a, b, target, ..
-            } => {
-                reg(*dst);
-                reg(*a);
-                reg(*b);
-                block(*target);
-            }
-            MicroOp::FusedBinIJump { dst, a, target, .. } => {
-                reg(*dst);
-                reg(*a);
-                block(*target);
-            }
-            MicroOp::FusedLoadBin {
-                ldst,
-                base,
-                dst,
-                a,
-                b,
-                ..
-            } => {
-                reg(*ldst);
-                reg(*base);
-                reg(*dst);
-                reg(*a);
-                reg(*b);
-            }
-            MicroOp::FusedFBinFBin {
-                dst1,
-                a1,
-                b1,
-                dst2,
-                a2,
-                b2,
-                ..
-            } => {
-                freg(*dst1);
-                freg(*a1);
-                freg(*b1);
-                freg(*dst2);
-                freg(*a2);
-                freg(*b2);
-            }
-            MicroOp::FusedBinIBinI {
-                dst1, a1, dst2, a2, ..
-            } => {
-                reg(*dst1);
-                reg(*a1);
-                reg(*dst2);
-                reg(*a2);
-            }
-            MicroOp::FusedFBin3 {
-                dst1,
-                a1,
-                b1,
-                dst2,
-                a2,
-                b2,
-                dst3,
-                a3,
-                b3,
-                ..
-            } => {
-                for r in [dst1, a1, b1, dst2, a2, b2, dst3, a3, b3] {
-                    freg(*r);
-                }
-            }
-            MicroOp::FusedFLoadFBin {
-                ldst,
-                base,
-                dst,
-                a,
-                b,
-                ..
-            }
-            | MicroOp::FusedFBinFLoad {
-                ldst,
-                base,
-                dst,
-                a,
-                b,
-                ..
-            } => {
-                freg(*ldst);
-                reg(*base);
-                freg(*dst);
-                freg(*a);
-                freg(*b);
-            }
-            MicroOp::FusedBinILoad {
-                dst, a, ldst, base, ..
-            } => {
-                reg(*dst);
-                reg(*a);
-                reg(*ldst);
-                reg(*base);
-            }
-            MicroOp::FusedBinRBinI {
-                dst1,
-                a1,
-                b1,
-                dst2,
-                a2,
-                ..
-            } => {
-                reg(*dst1);
-                reg(*a1);
-                reg(*b1);
-                reg(*dst2);
-                reg(*a2);
-            }
-            MicroOp::FusedBinIBinR {
-                dst1,
-                a1,
-                dst2,
-                a2,
-                b2,
-                ..
-            } => {
-                reg(*dst1);
-                reg(*a1);
-                reg(*dst2);
-                reg(*a2);
-                reg(*b2);
-            }
-            MicroOp::FusedBinStoreR {
-                dst,
-                a,
-                b,
-                src,
-                base,
-                ..
-            } => {
-                reg(*dst);
-                reg(*a);
-                reg(*b);
-                reg(*src);
-                reg(*base);
-            }
-            MicroOp::FusedStoreRJump {
-                src, base, target, ..
-            } => {
-                reg(*src);
-                reg(*base);
-                block(*target);
-            }
-            MicroOp::FusedProfProf { p1, p2 } => {
-                assert!(
-                    (*p1 as usize) < sides.prof_ops.len() && (*p2 as usize) < sides.prof_ops.len(),
-                    "procedure {pid:?}: fused prof op out of range"
-                );
-            }
-            MicroOp::FusedProfJump { p, target } => {
-                assert!(
-                    (*p as usize) < sides.prof_ops.len(),
-                    "procedure {pid:?}: fused prof op out of range"
-                );
-                block(*target);
-            }
-            MicroOp::FusedBinIProf { dst, a, p, .. } => {
-                reg(*dst);
-                reg(*a);
-                assert!(
-                    (*p as usize) < sides.prof_ops.len(),
-                    "procedure {pid:?}: fused prof op out of range"
-                );
-            }
         }
     }
 }
 
-/// The pair-fusion peephole: the patterns are the hottest adjacent pairs
-/// in the meta-profile (see `DESIGN.md` §13). Returns the superinstruction
-/// replacing `(a, b)`, or `None` when the pair doesn't match.
-fn fuse_pair(a: &MicroOp, b: &MicroOp) -> Option<MicroOp> {
-    match (a, b) {
-        (
-            MicroOp::Bin { op, dst, a, b },
-            MicroOp::Branch {
-                cond,
-                taken,
-                not_taken,
-                ..
-            },
-        ) if cond == dst => Some(match b {
-            Operand::Reg(b) => MicroOp::FusedBinBranch {
-                op: *op,
-                dst: *dst,
-                a: *a,
-                b: *b,
-                taken: *taken,
-                not_taken: *not_taken,
-            },
-            Operand::Imm(v) => MicroOp::FusedBinIBranch {
-                op: *op,
-                dst: *dst,
-                a: *a,
-                imm: *v,
-                taken: *taken,
-                not_taken: *not_taken,
-            },
-        }),
-        (MicroOp::Bin { op, dst, a, b }, MicroOp::Jump { target }) => Some(match b {
-            Operand::Reg(b) => MicroOp::FusedBinJump {
-                op: *op,
-                dst: *dst,
-                a: *a,
-                b: *b,
-                target: *target,
-            },
-            Operand::Imm(v) => MicroOp::FusedBinIJump {
-                op: *op,
-                dst: *dst,
-                a: *a,
-                imm: *v,
-                target: *target,
-            },
-        }),
-        (
-            MicroOp::Load {
-                dst: ldst,
-                base,
-                offset,
-            },
-            MicroOp::Bin {
-                op,
-                dst,
-                a,
-                b: Operand::Reg(b),
-            },
-        ) => Some(MicroOp::FusedLoadBin {
-            ldst: *ldst,
-            base: *base,
-            offset: *offset,
-            op: *op,
-            dst: *dst,
-            a: *a,
-            b: *b,
-        }),
-        (
-            MicroOp::FBin {
-                op: op1,
-                dst: dst1,
-                a: a1,
-                b: b1,
-            },
-            MicroOp::FBin {
-                op: op2,
-                dst: dst2,
-                a: a2,
-                b: b2,
-            },
-        ) => Some(MicroOp::FusedFBinFBin {
-            op1: *op1,
-            dst1: *dst1,
-            a1: *a1,
-            b1: *b1,
-            op2: *op2,
-            dst2: *dst2,
-            a2: *a2,
-            b2: *b2,
-        }),
-        (
-            MicroOp::Bin {
-                op: op1,
-                dst: dst1,
-                a: a1,
-                b: Operand::Imm(i1),
-            },
-            MicroOp::Bin {
-                op: op2,
-                dst: dst2,
-                a: a2,
-                b: Operand::Imm(i2),
-            },
-        ) => {
-            // Both immediates must survive the i32 narrowing that makes
-            // the pair fit the arena slot.
-            let imm1 = i32::try_from(*i1).ok()?;
-            let imm2 = i32::try_from(*i2).ok()?;
-            Some(MicroOp::FusedBinIBinI {
-                op1: *op1,
-                dst1: *dst1,
-                a1: *a1,
-                imm1,
-                op2: *op2,
-                dst2: *dst2,
-                a2: *a2,
-                imm2,
-            })
-        }
-        (
-            MicroOp::Bin {
-                op: op1,
-                dst: dst1,
-                a: a1,
-                b: Operand::Reg(b1),
-            },
-            MicroOp::Bin {
-                op: op2,
-                dst: dst2,
-                a: a2,
-                b: Operand::Imm(i2),
-            },
-        ) => Some(MicroOp::FusedBinRBinI {
-            op1: *op1,
-            dst1: *dst1,
-            a1: *a1,
-            b1: *b1,
-            op2: *op2,
-            dst2: *dst2,
-            a2: *a2,
-            imm2: i32::try_from(*i2).ok()?,
-        }),
-        (
-            MicroOp::Bin {
-                op: op1,
-                dst: dst1,
-                a: a1,
-                b: Operand::Imm(i1),
-            },
-            MicroOp::Bin {
-                op: op2,
-                dst: dst2,
-                a: a2,
-                b: Operand::Reg(b2),
-            },
-        ) => Some(MicroOp::FusedBinIBinR {
-            op1: *op1,
-            dst1: *dst1,
-            a1: *a1,
-            imm1: i32::try_from(*i1).ok()?,
-            op2: *op2,
-            dst2: *dst2,
-            a2: *a2,
-            b2: *b2,
-        }),
-        (
-            MicroOp::Bin {
-                op,
-                dst,
-                a,
-                b: Operand::Imm(imm),
-            },
-            MicroOp::Load {
-                dst: ldst,
-                base,
-                offset,
-            },
-        ) => Some(MicroOp::FusedBinILoad {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            imm: i32::try_from(*imm).ok()?,
-            ldst: *ldst,
-            base: *base,
-            offset: u32::try_from(*offset).ok()?,
-        }),
-        (
-            MicroOp::Bin {
-                op,
-                dst,
-                a,
-                b: Operand::Reg(b),
-            },
-            MicroOp::StoreR { src, base, offset },
-        ) => Some(MicroOp::FusedBinStoreR {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            b: *b,
-            src: *src,
-            base: *base,
-            offset: u32::try_from(*offset).ok()?,
-        }),
-        (MicroOp::StoreR { src, base, offset }, MicroOp::Jump { target }) => {
-            Some(MicroOp::FusedStoreRJump {
-                src: *src,
-                base: *base,
-                offset: u32::try_from(*offset).ok()?,
-                target: *target,
-            })
-        }
-        (
-            MicroOp::FLoad {
-                dst: ldst,
-                base,
-                offset,
-            },
-            MicroOp::FBin { op, dst, a, b },
-        ) => Some(MicroOp::FusedFLoadFBin {
-            ldst: *ldst,
-            base: *base,
-            offset: u32::try_from(*offset).ok()?,
-            op: *op,
-            dst: *dst,
-            a: *a,
-            b: *b,
-        }),
-        (
-            MicroOp::FBin { op, dst, a, b },
-            MicroOp::FLoad {
-                dst: ldst,
-                base,
-                offset,
-            },
-        ) => Some(MicroOp::FusedFBinFLoad {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            b: *b,
-            ldst: *ldst,
-            base: *base,
-            offset: u32::try_from(*offset).ok()?,
-        }),
-        (MicroOp::Prof(p1), MicroOp::Prof(p2)) => Some(MicroOp::FusedProfProf { p1: *p1, p2: *p2 }),
-        (MicroOp::Prof(p), MicroOp::Jump { target }) => Some(MicroOp::FusedProfJump {
-            p: *p,
-            target: *target,
-        }),
-        (
-            MicroOp::Bin {
-                op,
-                dst,
-                a,
-                b: Operand::Imm(imm),
-            },
-            MicroOp::Prof(p),
-        ) => Some(MicroOp::FusedBinIProf {
-            op: *op,
-            dst: *dst,
-            a: *a,
-            imm: i32::try_from(*imm).ok()?,
-            p: *p,
-        }),
-        _ => None,
-    }
-}
-
-/// The only three-wide pattern: an FP-chain link. Everything else pays
-/// its way at width two.
-fn fuse_triple(a: &MicroOp, b: &MicroOp, c: &MicroOp) -> Option<MicroOp> {
-    match (a, b, c) {
-        (
-            MicroOp::FBin {
-                op: op1,
-                dst: dst1,
-                a: a1,
-                b: b1,
-            },
-            MicroOp::FBin {
-                op: op2,
-                dst: dst2,
-                a: a2,
-                b: b2,
-            },
-            MicroOp::FBin {
-                op: op3,
-                dst: dst3,
-                a: a3,
-                b: b3,
-            },
-        ) => Some(MicroOp::FusedFBin3 {
-            op1: *op1,
-            dst1: *dst1,
-            a1: *a1,
-            b1: *b1,
-            op2: *op2,
-            dst2: *dst2,
-            a2: *a2,
-            b2: *b2,
-            op3: *op3,
-            dst3: *dst3,
-            a3: *a3,
-            b3: *b3,
-        }),
-        _ => None,
-    }
-}
-
-fn lower_instr(
-    i: &Instr,
-    prof_ops: &mut Vec<ProfOp>,
-    call_args: &mut Vec<Operand>,
-    icall_sites: &mut u32,
-) -> MicroOp {
+fn lower_instr(i: &Instr, prof_ops: &mut Vec<ProfOp>, call_args: &mut Vec<Operand>) -> MicroOp {
     match i {
         Instr::Mov { dst, src } => MicroOp::Mov {
             dst: *dst,
@@ -1379,16 +576,11 @@ fn lower_instr(
                     args,
                     ret: *ret,
                 },
-                CallTarget::Indirect(r) => {
-                    let ic = *icall_sites;
-                    *icall_sites += 1;
-                    MicroOp::CallIndirect {
-                        target: *r,
-                        args,
-                        ret: *ret,
-                        ic,
-                    }
-                }
+                CallTarget::Indirect(r) => MicroOp::CallIndirect {
+                    target: *r,
+                    args,
+                    ret: *ret,
+                },
             }
         }
         Instr::SetPcr { pic0, pic1 } => MicroOp::SetPcr {
@@ -1481,148 +673,6 @@ mod tests {
         assert_eq!(d.blocks[2].addr, layout.block_addr(ProcId(1), BlockId(0)));
         assert_eq!(d.blocks[1].proc, ProcId(0));
         assert_eq!(d.blocks[1].orig, BlockId(1));
-    }
-
-    fn mnemonics(d: &DecodedProgram) -> Vec<&'static str> {
-        d.ops.iter().map(MicroOp::mnemonic).collect()
-    }
-
-    #[test]
-    fn fusion_is_block_local_and_reanchors_first_op() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.procedure("main");
-        let e = f.entry_block();
-        let b2 = f.new_block();
-        let f0 = f.new_freg();
-        let f1 = f.new_freg();
-        let f2 = f.new_freg();
-        let f3 = f.new_freg();
-        // Entry ends on an FBin and b2 begins with one: adjacent in the
-        // arena, but split across a block end — b2's head is a jump
-        // target and must stay addressable.
-        f.block(e)
-            .fbin(FBinOp::Add, f1, f0, f0)
-            .fbin(FBinOp::Add, f2, f1, f1)
-            .jump(b2);
-        f.block(b2).fbin(FBinOp::Add, f3, f2, f2).ret();
-        let id = f.finish();
-        let prog = pb.finish(id);
-        let layout = CodeLayout::new(&prog, 0x10000);
-        let mut d = DecodedProgram::new(&prog, &layout);
-        d.fuse();
-        // The in-block pair fuses; the boundary-straddling one does not.
-        assert_eq!(mnemonics(&d), ["fbin+fbin", "jump", "fbin", "ret"]);
-        assert_eq!(d.num_fused_ops(), 1);
-        // b2's first_op re-anchored from 3 to 2 after the entry shrank.
-        assert_eq!(d.blocks[1].first_op, 2);
-    }
-
-    #[test]
-    fn intervening_op_blocks_fusion() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.procedure("main");
-        let e = f.entry_block();
-        let r0 = f.new_reg();
-        let f0 = f.new_freg();
-        let f1 = f.new_freg();
-        let f2 = f.new_freg();
-        f.block(e)
-            .fbin(FBinOp::Mul, f1, f0, f0)
-            .mov(r0, 7i64)
-            .fbin(FBinOp::Mul, f2, f1, f1)
-            .ret();
-        let id = f.finish();
-        let prog = pb.finish(id);
-        let layout = CodeLayout::new(&prog, 0x10000);
-        let mut d = DecodedProgram::new(&prog, &layout);
-        d.fuse();
-        // Only immediately adjacent ops pair; the mov keeps them apart.
-        assert_eq!(mnemonics(&d), ["fbin", "mov", "fbin", "ret"]);
-        assert_eq!(d.num_fused_ops(), 0);
-    }
-
-    #[test]
-    fn triple_is_matched_before_pair() {
-        let build = |n: usize| {
-            let mut pb = ProgramBuilder::new();
-            let mut f = pb.procedure("main");
-            let e = f.entry_block();
-            let f0 = f.new_freg();
-            {
-                let mut b = f.block(e);
-                for _ in 0..n {
-                    b.fbin(FBinOp::Add, f0, f0, f0);
-                }
-                b.ret();
-            }
-            let id = f.finish();
-            pb.finish(id)
-        };
-        let prog = build(3);
-        let layout = CodeLayout::new(&prog, 0x10000);
-        let mut d = DecodedProgram::new(&prog, &layout);
-        d.fuse();
-        assert_eq!(mnemonics(&d), ["fbin+fbin+fbin", "ret"]);
-        // Greedy widest-first: four in a row leave a lone trailing FBin
-        // rather than two pairs.
-        let prog = build(4);
-        let layout = CodeLayout::new(&prog, 0x10000);
-        let mut d = DecodedProgram::new(&prog, &layout);
-        d.fuse();
-        assert_eq!(mnemonics(&d), ["fbin+fbin+fbin", "fbin", "ret"]);
-    }
-
-    #[test]
-    fn immediate_too_wide_for_the_fused_encoding_stays_unfused() {
-        let build = |imm: i64| {
-            let mut pb = ProgramBuilder::new();
-            let mut f = pb.procedure("main");
-            let e = f.entry_block();
-            let r0 = f.new_reg();
-            let r1 = f.new_reg();
-            let r2 = f.new_reg();
-            f.block(e).add(r1, r0, imm).add(r2, r1, 1i64).ret();
-            let id = f.finish();
-            pb.finish(id)
-        };
-        // Fits i32: the pair fuses.
-        let prog = build(1 << 20);
-        let layout = CodeLayout::new(&prog, 0x10000);
-        let mut d = DecodedProgram::new(&prog, &layout);
-        d.fuse();
-        assert_eq!(mnemonics(&d), ["bini+bini", "ret"]);
-        // Doesn't fit the fused form's narrowed i32 field: left alone.
-        let prog = build(i64::from(i32::MAX) + 1);
-        let layout = CodeLayout::new(&prog, 0x10000);
-        let mut d = DecodedProgram::new(&prog, &layout);
-        d.fuse();
-        assert_eq!(mnemonics(&d), ["bini", "bini", "ret"]);
-    }
-
-    #[test]
-    fn prof_between_fusable_ops_starts_its_own_pair() {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.procedure("main");
-        let e = f.entry_block();
-        let t = f.new_block();
-        let nt = f.new_block();
-        let r0 = f.new_reg();
-        let r1 = f.new_reg();
-        f.block(e)
-            .add(r1, r0, 1i64)
-            .prof(ProfOp::Spill)
-            .branch(r1, t, nt);
-        f.block(t).ret();
-        f.block(nt).ret();
-        let id = f.finish();
-        let prog = pb.finish(id);
-        let layout = CodeLayout::new(&prog, 0x10000);
-        let mut d = DecodedProgram::new(&prog, &layout);
-        d.fuse();
-        // The prof op sits between a BinI and the branch it would
-        // otherwise fuse with; greedy matching pairs (bini, prof) and
-        // leaves the branch — a terminator never fuses backwards.
-        assert_eq!(mnemonics(&d), ["bini+prof", "branch", "ret", "ret"]);
     }
 
     #[test]

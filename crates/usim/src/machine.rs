@@ -17,7 +17,7 @@
 //! [`crate::reference::ReferenceMachine`] behind the `reference` feature
 //! and backs the differential test suite.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::Instant;
 
@@ -31,7 +31,6 @@ use crate::decode::{BlockIdx, DecodedProgram, MicroOp};
 use crate::fault::{FaultLog, FaultPlan};
 use crate::layout::CodeLayout;
 use crate::limits::{CancelToken, GuestLimits, LimitKind};
-use crate::meta::EngineCounters;
 use crate::metrics::HwMetrics;
 use crate::predict::{BranchPredictor, TargetPredictor};
 use crate::sink::ProfSink;
@@ -40,17 +39,7 @@ use crate::Memory;
 /// A sampling configuration: interval in cycles plus the stack consumer.
 type Sampler<'s> = (u64, &'s mut dyn FnMut(&[ProcId]));
 
-/// True when the `PP_NO_FUSE` environment variable disables
-/// superinstruction fusion (any value but `0`); the env override exists
-/// so the differential oracle and CI can force the unfused arena without
-/// plumbing a flag through every entry point.
-fn env_no_fuse() -> bool {
-    std::env::var_os("PP_NO_FUSE").is_some_and(|v| v != "0")
-}
-
-/// One integer ALU op. Shared by the plain `Bin` handler and every fused
-/// superinstruction so the semantics (wrapping arithmetic, div/rem by
-/// zero yielding 0) have exactly one definition.
+/// One integer ALU op: wrapping arithmetic, div/rem by zero yielding 0.
 #[inline(always)]
 fn bin_eval(op: BinOp, x: i64, y: i64) -> i64 {
     match op {
@@ -188,7 +177,7 @@ struct Frame {
     block: BlockIdx,
     /// Resume arena offset. The dispatch loop keeps the live frame's
     /// instruction pointer in a local; this field is synced only when
-    /// the frame calls out (so `Ret`/`Longjmp` can restore it).
+    /// the frame calls out (so `Ret` can restore it).
     ip: u32,
     /// Start of this frame's registers in the machine's register arena.
     reg_base: u32,
@@ -252,22 +241,9 @@ pub struct Machine<'p> {
     setjmps: Vec<(usize, ProcId, BlockIdx, u32)>,
     /// Dense per-block execution counts, indexed by [`BlockIdx`].
     block_counts: Vec<u64>,
-    /// Corrections to projecting `block_counts` through whole block
-    /// bodies: `(block, from) -> n` means the block's micro-ops from
-    /// arena offset `from` to its end ran `n` more times than the block
-    /// was entered (negative when a longjmp or an error cut the block
-    /// short, positive when a longjmp resumed it mid-block). Kept only
-    /// when [`MachineConfig::trace_blocks`] is set, and only on cold
-    /// paths.
-    suffix_adjust: BTreeMap<(BlockIdx, u32), i64>,
-    /// Inline caches for indirect call sites, indexed by the site's
-    /// decode-assigned `ic`. Each entry holds the last *validated* target
-    /// register value encoded as `value + 1` (0 = empty), so one compare
-    /// revalidates a monomorphic site — a matching entry was range-checked
-    /// when it was installed, and the empty encoding can't collide with
-    /// any value (`v + 1 == 0` only for `v == -1`, which is invalid and
-    /// therefore never installed).
-    icall_ic: Vec<u64>,
+    /// Dispatches of the outlined counter-control and non-local-return
+    /// handlers (the `#[cold]` `exec_*` methods), counted inside them.
+    cold_taken: u64,
     argv_scratch: Vec<i64>,
     fault: FaultPlan,
     fault_log: FaultLog,
@@ -293,15 +269,8 @@ impl<'p> Machine<'p> {
     /// [`Machine::run`]).
     pub fn new(program: &'p Program, config: MachineConfig) -> Machine<'p> {
         let layout = CodeLayout::new(program, config.code_base);
-        let mut decoded = DecodedProgram::new(program, &layout);
-        if !config.no_fuse && !env_no_fuse() {
-            // Attributed to its own nested span so `phases_us` accounts
-            // the fusion pass under `decode`, not `simulate`.
-            let _span = pp_obs::span!("decode.fuse");
-            decoded.fuse();
-        }
+        let decoded = DecodedProgram::new(program, &layout);
         let num_blocks = decoded.num_blocks();
-        let num_icall_sites = decoded.num_icall_sites as usize;
         Machine {
             program,
             layout,
@@ -330,8 +299,7 @@ impl<'p> Machine<'p> {
             freg_base: 0,
             setjmps: Vec::new(),
             block_counts: vec![0; num_blocks],
-            suffix_adjust: BTreeMap::new(),
-            icall_ic: vec![0; num_icall_sites],
+            cold_taken: 0,
             argv_scratch: Vec::new(),
             fault: FaultPlan::default(),
             fault_log: FaultLog::default(),
@@ -416,17 +384,11 @@ impl<'p> Machine<'p> {
         &self.block_counts
     }
 
-    /// The block-suffix corrections to [`Machine::block_counts_dense`]
-    /// (see the `suffix_adjust` field).
-    pub(crate) fn suffix_adjustments(&self) -> &BTreeMap<(BlockIdx, u32), i64> {
-        &self.suffix_adjust
-    }
-
-    /// The engine counters of the run so far (or of the run up to its
-    /// fault), projected from the block counts — all zero unless
-    /// [`MachineConfig::trace_blocks`] is set.
-    pub fn engine_counters(&self) -> EngineCounters {
-        EngineCounters::project(self)
+    /// Dispatches of the outlined counter-control and non-local-return
+    /// handlers so far. This describes the host interpreter, not the
+    /// simulated machine: it never affects profiles or metrics.
+    pub fn cold_taken(&self) -> u64 {
+        self.cold_taken
     }
 
     // ----- event plumbing -------------------------------------------------
@@ -724,6 +686,7 @@ impl<'p> Machine<'p> {
     #[cold]
     #[inline(never)]
     fn exec_setpcr(&mut self, pic0: HwEvent, pic1: HwEvent) {
+        self.cold_taken += 1;
         self.uop();
         // Materialize under the old selection, then re-anchor
         // the lazy counters on the new events. A selection
@@ -741,6 +704,7 @@ impl<'p> Machine<'p> {
     #[cold]
     #[inline(never)]
     fn exec_rdpic(&mut self, dst: Reg) {
+        self.cold_taken += 1;
         self.uop();
         let p = self.pics_now();
         let v = ((p[1] as u32 as u64) << 32) | p[0] as u32 as u64;
@@ -750,6 +714,7 @@ impl<'p> Machine<'p> {
     #[cold]
     #[inline(never)]
     fn exec_wrpic(&mut self, src: Operand) {
+        self.cold_taken += 1;
         self.uop();
         let v = self.value(src) as u64;
         self.set_pics([v as u32 as u64, v >> 32]);
@@ -758,6 +723,7 @@ impl<'p> Machine<'p> {
     #[cold]
     #[inline(never)]
     fn exec_setjmp(&mut self, dst: Reg, ip: u32) {
+        self.cold_taken += 1;
         self.uop();
         let f = self.frames.last().expect("live frame");
         let token = self.setjmps.len() as i64;
@@ -765,18 +731,16 @@ impl<'p> Machine<'p> {
         self.set_reg(dst, token);
     }
 
-    /// Returns the resume arena offset (the new `ip`); `ip` is the live
-    /// frame's next micro-op after the `Longjmp`.
+    /// Returns the resume arena offset (the new `ip`).
     #[cold]
     #[inline(never)]
     fn exec_longjmp<S: ProfSink + ?Sized>(
         &mut self,
         d: &DecodedProgram,
         token: Reg,
-        ip: u32,
         sink: &mut S,
     ) -> Result<u32, ExecError> {
-        self.frames.last_mut().expect("live frame").ip = ip;
+        self.cold_taken += 1;
         self.uop();
         let v = self.reg(token);
         let &(depth, proc, block, resume_ip) = self
@@ -790,14 +754,6 @@ impl<'p> Machine<'p> {
         // window).
         if depth > self.frames.len() || self.frames[depth - 1].proc != proc {
             return Err(ExecError::BadJumpToken { value: v });
-        }
-        if self.config.trace_blocks {
-            // Every frame from the landing one up left its block
-            // part-way; the landing block then resumes mid-block.
-            for f in &self.frames[depth - 1..] {
-                *self.suffix_adjust.entry((f.block, f.ip)).or_default() -= 1;
-            }
-            *self.suffix_adjust.entry((block, resume_ip)).or_default() += 1;
         }
         // Unwind costs a few cycles per frame popped.
         let popped = self.frames.len() - depth;
@@ -819,20 +775,14 @@ impl<'p> Machine<'p> {
     /// `stop` bound trips — hard limits are disambiguated here, slow
     /// checks (deadline, cancellation, memory) run, and the next `stop`
     /// is returned.
-    ///
-    /// `ip` is the live frame's next micro-op; it is synced into the
-    /// frame here, off the per-µop path, so a run stopped by a limit
-    /// still tells the block-count projection where it stopped.
     #[cold]
     #[inline(never)]
     fn limit_checkpoint(
         &mut self,
-        ip: u32,
         hard_stop: u64,
         check_interval: u64,
         deadline_at: Option<(Instant, u64)>,
     ) -> Result<u64, ExecError> {
-        self.frames.last_mut().expect("live frame").ip = ip;
         if self.uops() >= hard_stop {
             if self.uops() >= self.config.max_instructions {
                 return Err(ExecError::InstructionLimit);
@@ -929,13 +879,6 @@ impl<'p> Machine<'p> {
         } else {
             self.run_inner::<S, false>(&d, sink, None)
         };
-        if res.is_err() && self.config.trace_blocks {
-            // Every live frame stopped part-way through its block (the
-            // error paths synced the top frame's `ip`).
-            for f in &self.frames {
-                *self.suffix_adjust.entry((f.block, f.ip)).or_default() -= 1;
-            }
-        }
         self.decoded = d;
         res
     }
@@ -986,7 +929,7 @@ impl<'p> Machine<'p> {
         // rather than re-testing the frame stack every micro-op.
         'run: loop {
             if self.uops() >= stop {
-                stop = self.limit_checkpoint(ip, hard_stop, check_interval, deadline_at)?;
+                stop = self.limit_checkpoint(hard_stop, check_interval, deadline_at)?;
                 continue 'run;
             }
             if SAMPLED && self.now() >= next_sample {
@@ -1018,375 +961,6 @@ impl<'p> Machine<'p> {
                     let x = self.reg(*a);
                     let y = self.value(*b);
                     self.set_reg(*dst, bin_eval(*op, x, y));
-                }
-                // ----- superinstructions: each replays its constituents'
-                // exact event sequence (same charges, same order), so the
-                // only difference from the unfused arena is one dispatch
-                // instead of two. The branch forms re-derive the predictor
-                // site key from the live frame's block — `goto` keeps
-                // `frame.block` current, and within a block it can't
-                // change before the terminator.
-                MicroOp::FusedBinBranch {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    taken,
-                    not_taken,
-                } => {
-                    // Nothing between the halves reads the clock, so one
-                    // batched charge is identical to two single ones.
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), self.reg(*b));
-                    self.set_reg(*dst, v);
-                    self.count(HwEvent::Branches, 1);
-                    let is_taken = v != 0;
-                    let block = self.frames.last().expect("live frame").block;
-                    let site_key = d.blocks[block as usize].addr;
-                    if !self.bp.predict_and_update(site_key, is_taken) {
-                        self.count(HwEvent::BranchMispredict, 1);
-                        self.tick(self.config.mispredict_penalty);
-                    }
-                    let t = if is_taken { *taken } else { *not_taken };
-                    ip = self.goto(d, t);
-                }
-                MicroOp::FusedBinIBranch {
-                    op,
-                    dst,
-                    a,
-                    imm,
-                    taken,
-                    not_taken,
-                } => {
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), *imm);
-                    self.set_reg(*dst, v);
-                    self.count(HwEvent::Branches, 1);
-                    let is_taken = v != 0;
-                    let block = self.frames.last().expect("live frame").block;
-                    let site_key = d.blocks[block as usize].addr;
-                    if !self.bp.predict_and_update(site_key, is_taken) {
-                        self.count(HwEvent::BranchMispredict, 1);
-                        self.tick(self.config.mispredict_penalty);
-                    }
-                    let t = if is_taken { *taken } else { *not_taken };
-                    ip = self.goto(d, t);
-                }
-                MicroOp::FusedBinJump {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    target,
-                } => {
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), self.reg(*b));
-                    self.set_reg(*dst, v);
-                    ip = self.goto(d, *target);
-                }
-                MicroOp::FusedBinIJump {
-                    op,
-                    dst,
-                    a,
-                    imm,
-                    target,
-                } => {
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), *imm);
-                    self.set_reg(*dst, v);
-                    ip = self.goto(d, *target);
-                }
-                MicroOp::FusedLoadBin {
-                    ldst,
-                    base,
-                    offset,
-                    op,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    self.uops_n(2);
-                    let addr = (self.reg(*base) as u64).wrapping_add(*offset);
-                    self.dread(addr);
-                    let v = self.mem.read_u64(addr) as i64;
-                    self.set_reg(*ldst, v);
-                    // The Bin half reads its operands *after* the load's
-                    // write-back, preserving the dependent forms.
-                    let x = self.reg(*a);
-                    let y = self.reg(*b);
-                    self.set_reg(*dst, bin_eval(*op, x, y));
-                }
-                MicroOp::FusedFBinFBin {
-                    op1,
-                    dst1,
-                    a1,
-                    b1,
-                    op2,
-                    dst2,
-                    a2,
-                    b2,
-                } => {
-                    // `fp_issue` reads the current cycle count, so each
-                    // half issues at exactly the cycle it would unfused.
-                    self.uop();
-                    let latency = match op1 {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a1);
-                    let y = self.freg(*b1);
-                    let v = match op1 {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst1, v);
-                    self.uop();
-                    let latency = match op2 {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a2);
-                    let y = self.freg(*b2);
-                    let v = match op2 {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst2, v);
-                }
-                MicroOp::FusedBinIBinI {
-                    op1,
-                    dst1,
-                    a1,
-                    imm1,
-                    op2,
-                    dst2,
-                    a2,
-                    imm2,
-                } => {
-                    // Counter updates are wrapping adds and nothing here
-                    // reads the clock, so one batched charge is identical
-                    // to two single ones (`uops_n`'s contract).
-                    self.uops_n(2);
-                    let x = self.reg(*a1);
-                    self.set_reg(*dst1, bin_eval(*op1, x, i64::from(*imm1)));
-                    // The second op reads after the first's write-back,
-                    // so `a2 == dst1` chains behave exactly as unfused.
-                    let x = self.reg(*a2);
-                    self.set_reg(*dst2, bin_eval(*op2, x, i64::from(*imm2)));
-                }
-                MicroOp::FusedBinRBinI {
-                    op1,
-                    dst1,
-                    a1,
-                    b1,
-                    op2,
-                    dst2,
-                    a2,
-                    imm2,
-                } => {
-                    self.uops_n(2);
-                    let v = bin_eval(*op1, self.reg(*a1), self.reg(*b1));
-                    self.set_reg(*dst1, v);
-                    let x = self.reg(*a2);
-                    self.set_reg(*dst2, bin_eval(*op2, x, i64::from(*imm2)));
-                }
-                MicroOp::FusedBinIBinR {
-                    op1,
-                    dst1,
-                    a1,
-                    imm1,
-                    op2,
-                    dst2,
-                    a2,
-                    b2,
-                } => {
-                    self.uops_n(2);
-                    let x = self.reg(*a1);
-                    self.set_reg(*dst1, bin_eval(*op1, x, i64::from(*imm1)));
-                    let v = bin_eval(*op2, self.reg(*a2), self.reg(*b2));
-                    self.set_reg(*dst2, v);
-                }
-                MicroOp::FusedFBin3 {
-                    op1,
-                    dst1,
-                    a1,
-                    b1,
-                    op2,
-                    dst2,
-                    a2,
-                    b2,
-                    op3,
-                    dst3,
-                    a3,
-                    b3,
-                } => {
-                    // `fp_issue` reads the clock, so each link charges its
-                    // own micro-op before issuing — no batching here.
-                    for (op, dst, a, b) in [
-                        (op1, dst1, a1, b1),
-                        (op2, dst2, a2, b2),
-                        (op3, dst3, a3, b3),
-                    ] {
-                        self.uop();
-                        let latency = match op {
-                            FBinOp::Div => self.config.fdiv_latency,
-                            _ => self.config.fp_latency,
-                        };
-                        self.fp_issue(latency);
-                        let x = self.freg(*a);
-                        let y = self.freg(*b);
-                        let v = match op {
-                            FBinOp::Add => x + y,
-                            FBinOp::Sub => x - y,
-                            FBinOp::Mul => x * y,
-                            FBinOp::Div => x / y,
-                        };
-                        self.set_freg(*dst, v);
-                    }
-                }
-                MicroOp::FusedFLoadFBin {
-                    ldst,
-                    base,
-                    offset,
-                    op,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    // The only clock read (`fp_issue`) happens after both
-                    // micro-ops complete unfused, so batching is exact.
-                    self.uops_n(2);
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    self.dread(addr);
-                    let v = self.mem.read_f64(addr);
-                    self.set_freg(*ldst, v);
-                    let latency = match op {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a);
-                    let y = self.freg(*b);
-                    let v = match op {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst, v);
-                }
-                MicroOp::FusedFBinFLoad {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    ldst,
-                    base,
-                    offset,
-                } => {
-                    // `fp_issue` reads the clock between the halves, so
-                    // each charges separately.
-                    self.uop();
-                    let latency = match op {
-                        FBinOp::Div => self.config.fdiv_latency,
-                        _ => self.config.fp_latency,
-                    };
-                    self.fp_issue(latency);
-                    let x = self.freg(*a);
-                    let y = self.freg(*b);
-                    let v = match op {
-                        FBinOp::Add => x + y,
-                        FBinOp::Sub => x - y,
-                        FBinOp::Mul => x * y,
-                        FBinOp::Div => x / y,
-                    };
-                    self.set_freg(*dst, v);
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    self.dread(addr);
-                    let v = self.mem.read_f64(addr);
-                    self.set_freg(*ldst, v);
-                }
-                MicroOp::FusedBinILoad {
-                    op,
-                    dst,
-                    a,
-                    imm,
-                    ldst,
-                    base,
-                    offset,
-                } => {
-                    self.uops_n(2);
-                    let x = self.reg(*a);
-                    self.set_reg(*dst, bin_eval(*op, x, i64::from(*imm)));
-                    // The load reads `base` after the bin's write-back —
-                    // the `base == dst` index-then-load chain is exact.
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    self.dread(addr);
-                    let v = self.mem.read_u64(addr) as i64;
-                    self.set_reg(*ldst, v);
-                }
-                MicroOp::FusedBinStoreR {
-                    op,
-                    dst,
-                    a,
-                    b,
-                    src,
-                    base,
-                    offset,
-                } => {
-                    // `dwrite` reads the clock, but only after both
-                    // micro-ops would have charged unfused — batch.
-                    self.uops_n(2);
-                    let v = bin_eval(*op, self.reg(*a), self.reg(*b));
-                    self.set_reg(*dst, v);
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    let v = self.reg(*src);
-                    self.dwrite(addr);
-                    self.mem.write_u64(addr, v as u64);
-                }
-                MicroOp::FusedStoreRJump {
-                    src,
-                    base,
-                    offset,
-                    target,
-                } => {
-                    // `dwrite` reads the clock *between* the halves here
-                    // (store first), so each charges separately.
-                    self.uop();
-                    let addr = (self.reg(*base) as u64).wrapping_add(u64::from(*offset));
-                    let v = self.reg(*src);
-                    self.dwrite(addr);
-                    self.mem.write_u64(addr, v as u64);
-                    self.uop();
-                    ip = self.goto(d, *target);
-                }
-                MicroOp::FusedProfProf { p1, p2 } => {
-                    // Profiling semantics replay strictly in order; each
-                    // pseudo-op does its own (clock-reading) accounting.
-                    let op = d.prof_ops[*p1 as usize];
-                    self.exec_prof(op, sink);
-                    let op = d.prof_ops[*p2 as usize];
-                    self.exec_prof(op, sink);
-                }
-                MicroOp::FusedProfJump { p, target } => {
-                    let op = d.prof_ops[*p as usize];
-                    self.exec_prof(op, sink);
-                    self.uop();
-                    ip = self.goto(d, *target);
-                }
-                MicroOp::FusedBinIProf { op, dst, a, imm, p } => {
-                    self.uop();
-                    let x = self.reg(*a);
-                    self.set_reg(*dst, bin_eval(*op, x, i64::from(*imm)));
-                    let pop = d.prof_ops[*p as usize];
-                    self.exec_prof(pop, sink);
                 }
                 MicroOp::Load { dst, base, offset } => {
                     self.uop();
@@ -1459,33 +1033,12 @@ impl<'p> Machine<'p> {
                     self.frames.last_mut().expect("live frame").ip = ip;
                     ip = self.call_with(d, *callee, d.args(*args), *ret)?;
                 }
-                MicroOp::CallIndirect {
-                    target,
-                    args,
-                    ret,
-                    ic,
-                } => {
+                MicroOp::CallIndirect { target, args, ret } => {
                     self.uop();
                     self.count(HwEvent::Calls, 1);
                     let v = self.reg(*target);
-                    let key = (v as u64).wrapping_add(1);
-                    debug_assert!((*ic as usize) < self.icall_ic.len());
-                    // SAFETY: decode numbered indirect call sites densely
-                    // and the cache was sized to `num_icall_sites`.
-                    let slot = unsafe { self.icall_ic.get_unchecked_mut(*ic as usize) };
-                    if *slot == key {
-                        // Monomorphic hit: `key` was range-checked when it
-                        // was installed, so the target is valid.
-                        sink.icall_cache(true);
-                    } else {
-                        if v < 0 || v as usize >= d.procs.len() {
-                            // Error paths sync the live frame's `ip` so the
-                            // block-count projection knows where it stopped.
-                            self.frames.last_mut().expect("live frame").ip = ip;
-                            return Err(ExecError::BadIndirectTarget { value: v });
-                        }
-                        *slot = key;
-                        sink.icall_cache(false);
+                    if v < 0 || v as usize >= d.procs.len() {
+                        return Err(ExecError::BadIndirectTarget { value: v });
                     }
                     self.frames.last_mut().expect("live frame").ip = ip;
                     ip = self.call_with(d, ProcId(v as u32), d.args(*args), *ret)?;
@@ -1498,7 +1051,7 @@ impl<'p> Machine<'p> {
                 MicroOp::RdPic { dst } => self.exec_rdpic(*dst),
                 MicroOp::WrPic { src } => self.exec_wrpic(*src),
                 MicroOp::Setjmp { dst } => self.exec_setjmp(*dst, ip),
-                MicroOp::Longjmp { token } => ip = self.exec_longjmp(d, *token, ip, sink)?,
+                MicroOp::Longjmp { token } => ip = self.exec_longjmp(d, *token, sink)?,
                 MicroOp::Prof(i) => {
                     let op = d.prof_ops[*i as usize];
                     self.exec_prof(op, sink);
@@ -2457,154 +2010,12 @@ mod tests {
         assert_eq!(plain.pics, limited.pics);
     }
 
-    /// Sink that counts indirect-call inline-cache lookups; every
-    /// profiling event uses the (no-op) trait defaults.
-    #[derive(Default)]
-    struct IcSink {
-        hits: u64,
-        misses: u64,
-    }
-
-    impl crate::sink::ProfSink for IcSink {
-        fn icall_cache(&mut self, hit: bool) {
-            if hit {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-            }
-        }
-    }
-
-    fn traced() -> MachineConfig {
-        MachineConfig {
-            trace_blocks: true,
-            ..MachineConfig::default()
-        }
-    }
-
-    /// The engine counters of a traced run of `prog`, plus its outcome.
-    fn engine_run(
-        prog: &Program,
-        limits: GuestLimits,
-    ) -> (EngineCounters, Result<RunResult, ExecError>) {
-        let mut m = Machine::new(prog, traced());
+    /// The cold-handler dispatches of a run of `prog`, plus its outcome.
+    fn cold_run(prog: &Program, limits: GuestLimits) -> (u64, Result<RunResult, ExecError>) {
+        let mut m = Machine::new(prog, MachineConfig::default());
         m.set_limits(limits);
         let res = m.run(&mut NullSink);
-        (m.engine_counters(), res)
-    }
-
-    fn fused(pairs: &[(&'static str, u64)]) -> std::collections::BTreeMap<&'static str, u64> {
-        pairs.iter().copied().collect()
-    }
-
-    fn counting_loop() -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.procedure("main");
-        let e = f.entry_block();
-        let h = f.new_block();
-        let body = f.new_block();
-        let x = f.new_block();
-        let i = f.new_reg();
-        let c = f.new_reg();
-        f.block(e).mov(i, 0i64).jump(h);
-        f.block(h).cmp_lt(c, i, 100i64).branch(c, body, x);
-        f.block(body).add(i, i, 1i64).jump(h);
-        f.block(x).ret();
-        let id = f.finish();
-        pb.finish(id)
-    }
-
-    #[test]
-    fn no_fuse_config_keeps_the_arena_unfused() {
-        let prog = counting_loop();
-        let fused = Machine::new(&prog, MachineConfig::default());
-        assert!(fused.decoded.num_fused_ops() > 0);
-        let plain = Machine::new(
-            &prog,
-            MachineConfig {
-                no_fuse: true,
-                ..MachineConfig::default()
-            },
-        );
-        assert_eq!(plain.decoded.num_fused_ops(), 0);
-    }
-
-    #[test]
-    fn fused_dispatch_is_observable_and_does_not_perturb_the_run() {
-        let prog = counting_loop();
-        let m = Machine::new(&prog, MachineConfig::default());
-        let arena: Vec<_> = m.decoded.ops.iter().map(MicroOp::mnemonic).collect();
-        assert_eq!(
-            arena,
-            ["mov", "jump", "bini+branch", "bini+jump", "ret"],
-            "the loop header and body each fuse into one superinstruction"
-        );
-
-        // The header runs 101 times, the body 100 times.
-        let (engine, res) = engine_run(&prog, GuestLimits::none());
-        let observed = res.expect("run");
-        assert_eq!(
-            engine.fused,
-            fused(&[("bini+branch", 101), ("bini+jump", 100)])
-        );
-        assert_eq!(engine.fused_hit(), 201);
-        assert_eq!(engine.cold_taken, 0);
-
-        // Engine counters describe the host interpreter only: the
-        // simulated run — fused, unfused, block-traced or not — is bit
-        // for bit the same.
-        let mut m = Machine::new(&prog, MachineConfig::default());
-        let silent = m.run(&mut NullSink).expect("run");
-        assert_eq!(m.engine_counters(), EngineCounters::default());
-        let mut m = Machine::new(
-            &prog,
-            MachineConfig {
-                no_fuse: true,
-                ..traced()
-            },
-        );
-        let unfused = m.run(&mut NullSink).expect("run");
-        assert_eq!(m.engine_counters(), EngineCounters::default());
-        for other in [&silent, &unfused] {
-            assert_eq!(observed.uops, other.uops);
-            assert_eq!(observed.metrics, other.metrics);
-            assert_eq!(observed.pics, other.pics);
-        }
-    }
-
-    #[test]
-    fn monomorphic_indirect_call_hits_the_inline_cache() {
-        let mut pb = ProgramBuilder::new();
-        let callee = pb.declare("id");
-        let mut f = pb.procedure("main");
-        let e = f.entry_block();
-        let h = f.new_block();
-        let body = f.new_block();
-        let x = f.new_block();
-        let fp = f.new_reg();
-        let i = f.new_reg();
-        let c = f.new_reg();
-        // The cache is per call *site*: one icall in a loop, so the same
-        // site dispatches the same target five times.
-        f.block(e).mov(fp, callee.0 as i64).mov(i, 0i64).jump(h);
-        f.block(h).cmp_lt(c, i, 5i64).branch(c, body, x);
-        f.block(body)
-            .icall(fp, vec![], None)
-            .add(i, i, 1i64)
-            .jump(h);
-        f.block(x).ret();
-        let main = f.finish();
-        let mut g = pb.procedure_for(callee);
-        let ge = g.entry_block();
-        g.block(ge).ret();
-        g.finish();
-        let prog = pb.finish(main);
-
-        let mut ic = IcSink::default();
-        let mut m = Machine::new(&prog, MachineConfig::default());
-        m.run(&mut ic).expect("run");
-        // One miss installs the cache line; the same target hits after.
-        assert_eq!((ic.misses, ic.hits), (1, 4));
+        (m.cold_taken(), res)
     }
 
     #[test]
@@ -2616,17 +2027,16 @@ mod tests {
         f.block(e).rdpic(r).ret();
         let id = f.finish();
         let prog = pb.finish(id);
-        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        let (cold_taken, res) = cold_run(&prog, GuestLimits::none());
         res.expect("run");
-        assert_eq!(engine.cold_taken, 1);
-        assert!(engine.fused.is_empty());
+        assert_eq!(cold_taken, 1);
     }
 
     #[test]
     fn longjmp_across_frames_drops_the_callers_unexecuted_suffixes() {
         // main setjmps, then calls mid, which calls thrower, which
-        // longjmps back to main. Every call site is followed by a fused
-        // op that never runs, and so is the longjmp itself.
+        // longjmps back to main. Every call site is followed by an
+        // rdpic that never runs, and so is the longjmp itself.
         let mut pb = ProgramBuilder::new();
         let mid = pb.declare("mid");
         let thrower = pb.declare("thrower");
@@ -2644,7 +2054,7 @@ mod tests {
         f.block(call_block)
             .mov(flag, 1i64)
             .call(mid, vec![Operand::Reg(tok)], None)
-            .add(a, a, 1i64)
+            .rdpic(a)
             .add(b, b, 1i64)
             .ret();
         f.block(thrown).ret();
@@ -2660,24 +2070,21 @@ mod tests {
                 Some(c) => blk.call(c, vec![Operand::Reg(Reg(0))], None),
                 None => blk.add(x, x, 1i64).add(y, y, 1i64).longjmp(Reg(0)),
             };
-            blk.add(x, x, 1i64).add(y, y, 1i64).ret();
+            blk.rdpic(x).add(y, y, 1i64).ret();
             p.finish();
         }
         let prog = pb.finish(main);
 
-        // Ran: thrower's first bini+bini; setjmp once, longjmp once.
-        // Block entries alone would also count the bini+bini after each
-        // of the three frames' stopping points.
-        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        // Ran: setjmp once, longjmp once; none of the three rdpics.
+        let (cold_taken, res) = cold_run(&prog, GuestLimits::none());
         res.expect("run");
-        assert_eq!(engine.fused, fused(&[("bini+bini", 1)]));
-        assert_eq!(engine.cold_taken, 2);
+        assert_eq!(cold_taken, 2);
     }
 
     #[test]
     fn longjmp_within_a_frame_resumes_the_setjmp_block_mid_way() {
-        // e: setjmp, then n += 1 (fused with m += 1); h loops back via a
-        // longjmp in `again` until n reaches 3.
+        // e: setjmp, then n += 1; h loops back via a longjmp in `again`
+        // until n reaches 3.
         let mut pb = ProgramBuilder::new();
         let mut f = pb.procedure("main");
         let e = f.entry_block();
@@ -2692,22 +2099,16 @@ mod tests {
             .add(m, m, 1i64)
             .jump(h);
         f.block(h).cmp_lt(c, n, 3i64).branch(c, again, x);
-        f.block(again)
-            .longjmp(tok)
-            .add(z, z, Operand::Reg(w))
-            .add(w, w, 1i64)
-            .ret();
+        f.block(again).longjmp(tok).rdpic(z).add(w, w, 1i64).ret();
         f.block(x).ret();
         let id = f.finish();
         let prog = pb.finish(id);
 
-        // e's suffix runs three times though e is entered once; the
-        // bin+bini after the longjmp never runs though `again` is
-        // entered twice.
-        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        // One setjmp and two longjmps; the rdpic after the longjmp never
+        // runs though `again` is entered twice.
+        let (cold_taken, res) = cold_run(&prog, GuestLimits::none());
         res.expect("run");
-        assert_eq!(engine.fused, fused(&[("bini+bini", 3), ("bini+branch", 3)]));
-        assert_eq!(engine.cold_taken, 3);
+        assert_eq!(cold_taken, 3);
     }
 
     #[test]
@@ -2728,24 +2129,21 @@ mod tests {
             .nop()
             .add(p, p, 1i64)
             .add(q, q, 1i64)
-            .nop()
+            .rdpic(p)
             .jump(h);
         f.block(x).ret();
         let id = f.finish();
         let prog = pb.finish(id);
 
         // Entry: 2 µops; each iteration: header 2 + body 7. With 97 µops
-        // of fuel, the eleventh body stops after its first bini+bini and
-        // nop (2 + 10·9 + 2 + 3 = 97).
-        let (engine, res) = engine_run(&prog, GuestLimits::none().with_fuel(97));
+        // of fuel, the eleventh body stops after its first three ops
+        // (2 + 10·9 + 2 + 3 = 97), so its rdpic never runs.
+        let (cold_taken, res) = cold_run(&prog, GuestLimits::none().with_fuel(97));
         assert_eq!(
             res.unwrap_err(),
             ExecError::LimitExceeded(LimitKind::Fuel { budget: 97 })
         );
-        assert_eq!(
-            engine.fused,
-            fused(&[("bini+bini", 21), ("bini+branch", 11)])
-        );
+        assert_eq!(cold_taken, 10);
     }
 
     #[test]
@@ -2756,16 +2154,14 @@ mod tests {
         let [fp, a, b] = [(); 3].map(|()| f.new_reg());
         f.block(e)
             .mov(fp, 99i64)
-            .add(a, a, 1i64)
-            .add(b, b, 1i64)
+            .rdpic(a)
             .icall(fp, vec![], None)
-            .add(a, a, 1i64)
-            .add(b, b, 1i64)
+            .rdpic(b)
             .ret();
         let id = f.finish();
         let prog = pb.finish(id);
-        let (engine, res) = engine_run(&prog, GuestLimits::none());
+        let (cold_taken, res) = cold_run(&prog, GuestLimits::none());
         assert_eq!(res.unwrap_err(), ExecError::BadIndirectTarget { value: 99 });
-        assert_eq!(engine.fused, fused(&[("bini+bini", 1)]));
+        assert_eq!(cold_taken, 1);
     }
 }

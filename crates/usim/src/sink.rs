@@ -88,18 +88,6 @@ pub trait ProfSink {
     fn unwind(&mut self, depth: usize) {
         let _ = depth;
     }
-
-    /// An indirect call looked up its site's inline cache: `hit` when
-    /// the cached target was reused, `false` when the target was
-    /// validated and installed. This describes the *host* interpreter's
-    /// fast path, not the simulated machine — it never affects profiles
-    /// or metrics. It is the one engine event that cannot be derived
-    /// from block counts after the run; the other engine counters are
-    /// ([`Machine::engine_counters`](crate::Machine::engine_counters)).
-    #[inline(always)]
-    fn icall_cache(&mut self, hit: bool) {
-        let _ = hit;
-    }
 }
 
 /// Forwarding impl so a `&mut S` (including `&mut dyn ProfSink`) is
@@ -140,10 +128,6 @@ impl<S: ProfSink + ?Sized> ProfSink for &mut S {
 
     fn unwind(&mut self, depth: usize) {
         (**self).unwind(depth);
-    }
-
-    fn icall_cache(&mut self, hit: bool) {
-        (**self).icall_cache(hit);
     }
 }
 

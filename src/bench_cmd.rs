@@ -494,11 +494,11 @@ fn check_against(
 
 /// `pp bench --emit-meta`: regenerates the self-hosted PGO input. Each
 /// suite workload is instrumented exactly as the timed bench runs it
-/// (the combined pipeline), then replayed unfused with block tracing to
-/// project its dynamic micro-op mix; the suite-wide merge is written as
-/// registry-JSON `uop.*` / `pair.*` counters. The checked-in copy lives
-/// at `crates/usim/meta/uop_meta.json` and is what the dispatch layout
-/// and the fusion pattern set are derived from.
+/// (the combined pipeline), then replayed with block tracing to project
+/// its dynamic micro-op mix; the suite-wide merge is written as
+/// registry-JSON `uop.*` counters. The checked-in copy lives at
+/// `crates/usim/meta/uop_meta.json` and is what the dispatch layout is
+/// derived from.
 fn emit_meta(args: &BenchArgs, scale: f64, path: &str) -> Result<(), PpError> {
     let cases = pp::bench::cases_at(scale);
     let config = RunConfig::CombinedHw {
@@ -523,18 +523,6 @@ fn emit_meta(args: &BenchArgs, scale: f64, path: &str) -> Result<(), PpError> {
         println!(
             "{:<14} {:>14} {:>6.2}%",
             name,
-            n,
-            n as f64 / total.max(1) as f64 * 100.0
-        );
-    }
-    println!(
-        "\n{:<22} {:>14} {:>7}  (top 15 fusable pairs)",
-        "pair", "dispatches", "share"
-    );
-    for ((a, b), n) in meta.ranked_pairs().into_iter().take(15) {
-        println!(
-            "{:<22} {:>14} {:>6.2}%",
-            format!("{a}+{b}"),
             n,
             n as f64 / total.max(1) as f64 * 100.0
         );

@@ -398,9 +398,7 @@ fn parse_seconds(flag: &str, text: String) -> Result<f64, PpError> {
 /// The flags each verb reads: one row per verb (a verb may continue on
 /// the next row), and the `*` row every verb takes. `parse_options`
 /// refuses any other flag, so a flag a verb would ignore is a usage
-/// error rather than silently dropped. `serve` accepts `--scale` only
-/// for scripts that pass it alongside the submit flags: every job spec
-/// carries its own scale.
+/// error rather than silently dropped.
 const VERB_FLAGS: &str = "
 *        --trace --trace-out --quiet
 list
@@ -420,7 +418,7 @@ batch    --scale --config --events --jobs --retries --seed --checkpoint-dir --re
 batch    --quarantine-cap --max-uops --cct-cap --fuel --deadline
 serve    --socket --listen --checkpoint-dir --jobs --queue-cap --quota --max-conns
 serve    --idle-timeout --io-timeout --retries --seed --checkpoint-every --quarantine-cap
-serve    --inject-every --max-uops --cct-cap --fuel --deadline --scale
+serve    --inject-every --max-uops --cct-cap --fuel --deadline
 submit   --socket --timeout --retries --seed --client --wait --deadline --scale --config --events
 status   --socket --timeout --retries --seed --wait-idle --deadline --checkpoint-dir --metrics
 status   --prom

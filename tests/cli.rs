@@ -791,8 +791,6 @@ fn serve_round_trip_drains_on_sigterm() {
             state.to_str().expect("utf8"),
             "--jobs",
             "2",
-            "--scale",
-            "0.02",
             "--inject-every",
             "panic=2",
         ])
@@ -885,6 +883,7 @@ fn verbs_reject_flags_they_never_read() {
         &["batch", "--queue-cap", "3"],
         &["list", "--jobs", "4"],
         &["status", "--inject-every", "panic=2"],
+        &["serve", "--scale", "1"],
     ] {
         let out = pp(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");

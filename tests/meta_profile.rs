@@ -1,13 +1,13 @@
 //! The checked-in meta-profile stays consistent with the interpreter.
 //!
 //! `crates/usim/meta/uop_meta.json` is the PGO artifact the dispatch
-//! order and fusion patterns were derived from (regenerate with
-//! `pp bench --emit-meta crates/usim/meta/uop_meta.json`). These tests
-//! re-collect the dynamic micro-op mix at a reduced scale and assert the
-//! artifact still *ranks* like the live interpreter — exact counts vary
-//! with scale, but if the hot set drifts (a new workload, a decode
-//! change), the artifact must be regenerated before the superinstruction
-//! table can be trusted.
+//! order was derived from (regenerate with
+//! `pp bench --emit-meta crates/usim/meta/uop_meta.json`). This test
+//! re-collects the dynamic micro-op mix at a reduced scale and asserts
+//! the artifact still *ranks* like the live interpreter — exact counts
+//! vary with scale, but if the hot set drifts (a new workload, a decode
+//! change), the artifact must be regenerated before the dispatch order
+//! can be trusted.
 
 use std::collections::BTreeMap;
 
@@ -90,58 +90,6 @@ fn checked_in_artifact_matches_a_fresh_collection() {
             old_top.contains(&name.as_str()),
             "hot uop `{name}` missing from artifact top-6 {old_top:?}; \
              regenerate with `pp bench --emit-meta crates/usim/meta/uop_meta.json`"
-        );
-    }
-
-    // Same agreement for the fusable-pair ranking that picked the
-    // superinstruction set.
-    let fresh_pairs: Vec<String> = fresh
-        .ranked_pairs()
-        .into_iter()
-        .take(3)
-        .map(|((a, b), _)| format!("{a}+{b}"))
-        .collect();
-    let old_pairs = ranked("pair.", &artifact);
-    let old_top: Vec<&str> = old_pairs.iter().take(8).map(|(n, _)| n.as_str()).collect();
-    for name in &fresh_pairs {
-        assert!(
-            old_top.contains(&name.as_str()),
-            "hot pair `{name}` missing from artifact top-8 {old_top:?}; \
-             regenerate with `pp bench --emit-meta crates/usim/meta/uop_meta.json`"
-        );
-    }
-}
-
-#[test]
-fn every_hot_artifact_pair_has_a_superinstruction() {
-    // The fusion table was chosen from the artifact's top pairs; assert
-    // the top 10 are all still covered by a fused encoding, so a decode
-    // regression (a pattern dropped or an encoding gate tightened) is
-    // caught even before it shows up as a slowdown.
-    let artifact = parse_counters(CHECKED_IN);
-    let fused = [
-        "fbin+fbin",
-        "bini+bini",
-        "bini+branch",
-        "bini+load",
-        "load+bin",
-        "fload+fbin",
-        "fbin+fload",
-        "storer+jump",
-        "bin+bini",
-        "bin+storer",
-        "prof+prof",
-        "bini+bin",
-        "bini+prof",
-        "prof+jump",
-        "bin+branch",
-        "bin+jump",
-        "bini+jump",
-    ];
-    for (name, _) in ranked("pair.", &artifact).into_iter().take(10) {
-        assert!(
-            fused.contains(&name.as_str()),
-            "artifact hot pair `{name}` has no fused encoding"
         );
     }
 }

@@ -47,8 +47,6 @@ impl Daemon {
             state.to_str().expect("utf8").to_string(),
             "--jobs".to_string(),
             "2".to_string(),
-            "--scale".to_string(),
-            "0.02".to_string(),
         ];
         if listen {
             args.push("--listen".to_string());
