@@ -18,49 +18,15 @@ use std::time::Duration;
 
 use pp::ir::build::ProgramBuilder;
 use pp::ir::Program;
-use pp::profiler::{BatchFaultPlan, JobSpec, JobStatus, PpError, Profiler, RunConfig, Supervisor};
+use pp::profiler::{BatchFaultPlan, JobSpec, JobStatus, PpError, Supervisor};
 use pp::usim::{CancelToken, ExecError, GuestLimits, LimitKind};
+
+use crate::Args;
 
 /// Fuel budget when `--fuel` is not given: far above anything the suite
 /// needs at its default scale, small enough that an injected infinite
 /// loop burns out in seconds instead of wedging a worker forever.
 pub const DEFAULT_FUEL: u64 = 1_000_000_000;
-
-/// Options the CLI hands to [`run_batch`].
-pub struct BatchArgs {
-    /// Job targets (suite names or IR files); empty means the whole
-    /// suite.
-    pub targets: Vec<String>,
-    /// The profiling configuration every job runs under.
-    pub config: RunConfig,
-    /// The `--config` string, recorded in the campaign-params tag.
-    pub config_name: String,
-    /// Workload scale factor.
-    pub scale: f64,
-    /// Worker thread count (`--jobs`).
-    pub workers: usize,
-    /// Retry budget for transient failures (`--retries`).
-    pub retries: u32,
-    /// Backoff-jitter seed, stored in the manifest (`--seed`).
-    pub seed: u64,
-    /// Per-job µop budget (`--fuel`, default [`DEFAULT_FUEL`]).
-    pub fuel: u64,
-    /// Per-job wall-clock deadline in seconds (`--deadline`; 0 or
-    /// absent means none).
-    pub deadline_s: Option<f64>,
-    /// Checkpoint directory (`--checkpoint-dir` or `--resume`).
-    pub checkpoint_dir: Option<String>,
-    /// Resume from the checkpoint directory's manifest.
-    pub resume: bool,
-    /// Fault-injection spec (`--inject`).
-    pub inject: Option<String>,
-    /// Cap on quarantined attempt-sets kept on disk (`--quarantine-cap`;
-    /// 0 keeps everything).
-    pub quarantine_cap: usize,
-    /// The base profiler (machine config, CCT cap) from the shared
-    /// options; batch adds the guest limits on top.
-    pub profiler: Profiler,
-}
 
 /// Parsed `--inject` spec. Hangs swap a job's program for an infinite
 /// loop (terminated by the fuel budget); the rest map directly onto the
@@ -180,25 +146,34 @@ fn hang_program() -> Program {
 /// the campaign stops with jobs still pending (cancellation or an
 /// injected halt) — per-job *failures* are reported in the table and do
 /// not fail the command.
-pub fn run_batch(args: &BatchArgs) -> Result<(), PpError> {
-    let names: Vec<String> = if args.targets.is_empty() {
+pub fn run_batch(args: &Args) -> Result<(), PpError> {
+    let names: Vec<String> = if args.operands.is_empty() {
         pp::workloads::SUITE_NAMES
             .iter()
             .map(|s| s.to_string())
             .collect()
     } else {
-        args.targets.clone()
+        args.operands.clone()
     };
-    let inject = InjectPlan::parse(args.inject.as_deref(), names.len())?;
+    // Batch defaults to the combined pipeline so checkpoints carry both
+    // the flow and the CCT profile.
+    let config_name = args.str("--config").unwrap_or("combined");
+    let config = crate::config_by_name(config_name, args.events()?)?;
+    let (checkpoint_dir, resume) = args.checkpoint()?;
+    let scale = args.scale();
+    let fuel = args.get("--fuel").unwrap_or(DEFAULT_FUEL);
+    let deadline_s = args.get::<f64>("--deadline").filter(|d| *d > 0.0);
+    let (workers, seed) = (args.workers(), args.get("--seed").unwrap_or(0));
+    let inject = InjectPlan::parse(args.str("--inject"), names.len())?;
 
     let mut jobs = Vec::with_capacity(names.len());
     for (i, name) in names.iter().enumerate() {
         let program = if inject.hangs.contains(&i) {
             hang_program()
         } else {
-            crate::load_target(name, args.scale)?.1
+            crate::load_target(name, scale)?.1
         };
-        jobs.push(JobSpec::new(name.clone(), program, args.config));
+        jobs.push(JobSpec::new(name.clone(), program, config));
     }
 
     // Two-stage shutdown: the first SIGINT or SIGTERM cancels the
@@ -210,21 +185,21 @@ pub fn run_batch(args: &BatchArgs) -> Result<(), PpError> {
     crate::signals::install(graceful.clone(), hard.clone());
 
     let mut limits = GuestLimits::none()
-        .with_fuel(args.fuel)
+        .with_fuel(fuel)
         .with_cancel(hard.clone());
-    if let Some(d) = args.deadline_s.filter(|d| *d > 0.0) {
+    if let Some(d) = deadline_s {
         limits = limits.with_deadline(Duration::from_secs_f64(d));
     }
-    let profiler = args.profiler.clone().with_limits(limits);
+    let profiler = args.profiler().with_limits(limits);
 
     // Everything that changes what a job computes goes into the params
     // tag, so `--resume` refuses a checkpoint from a different campaign.
     let params = format!(
         "config={} scale={} fuel={} deadline={} inject={}",
-        args.config_name,
-        args.scale,
-        args.fuel,
-        args.deadline_s.unwrap_or(0.0),
+        config_name,
+        scale,
+        fuel,
+        deadline_s.unwrap_or(0.0),
         if inject.params_tag.is_empty() {
             "-".to_string()
         } else {
@@ -233,29 +208,29 @@ pub fn run_batch(args: &BatchArgs) -> Result<(), PpError> {
     );
 
     let mut supervisor = Supervisor::new(profiler)
-        .with_workers(args.workers)
-        .with_max_retries(args.retries)
-        .with_seed(args.seed)
+        .with_workers(workers)
+        .with_max_retries(args.get("--retries").unwrap_or(2))
+        .with_seed(seed)
         .with_params(&params)
         .with_cancel(graceful.clone())
-        .with_quarantine_cap(args.quarantine_cap)
+        .with_quarantine_cap(args.get("--quarantine-cap").unwrap_or(0))
         .with_fault_plan(inject.fault_plan);
-    if let Some(dir) = &args.checkpoint_dir {
+    if let Some(dir) = checkpoint_dir {
         supervisor = supervisor.with_checkpoint_dir(dir);
     }
 
     println!(
         "== pp batch: {} jobs on {} workers (seed {}, fuel {}{}) ==",
         jobs.len(),
-        args.workers,
-        args.seed,
-        args.fuel,
-        match args.deadline_s.filter(|d| *d > 0.0) {
+        workers,
+        seed,
+        fuel,
+        match deadline_s {
             Some(d) => format!(", deadline {d}s"),
             None => String::new(),
         },
     );
-    let report = supervisor.run(&jobs, args.resume)?;
+    let report = supervisor.run(&jobs, resume)?;
 
     let mut registry = pp::obs::Registry::new();
     report.record_metrics(&mut registry);
@@ -295,7 +270,7 @@ pub fn run_batch(args: &BatchArgs) -> Result<(), PpError> {
         );
         Ok(())
     } else {
-        let hint = match &args.checkpoint_dir {
+        let hint = match checkpoint_dir {
             Some(dir) => format!("; resume with `pp batch --resume {dir}`"),
             None => " (no --checkpoint-dir, progress was not persisted)".to_string(),
         };
@@ -312,6 +287,7 @@ pub fn run_batch(args: &BatchArgs) -> Result<(), PpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp::profiler::{Profiler, RunConfig};
 
     #[test]
     fn inject_spec_parses_every_kind() {

@@ -32,6 +32,8 @@ use pp::ir::HwEvent;
 use pp::obs::Recorder as _;
 use pp::profiler::{PpError, Profiler, RunConfig};
 
+use crate::Args;
+
 /// The `"pipeline"` tag in the trajectory file — part of the merge key.
 const PIPELINE: &str = "combined (simulate + CCT + path counters)";
 
@@ -57,36 +59,6 @@ struct CaseResult {
     name: String,
     optimized: PipelineSample,
     reference: Option<PipelineSample>,
-}
-
-/// Options the CLI hands to [`run_bench`].
-pub struct BenchArgs {
-    /// Workload scale factor (the suite's `--scale`).
-    pub scale: f64,
-    /// Smoke mode: tiny scale, no `BENCH_*.json` unless `--out` is given.
-    pub smoke: bool,
-    /// Explicit output path overriding `BENCH_<date>.json`.
-    pub out: Option<String>,
-    /// Events on `%pic0` / `%pic1`.
-    pub events: (HwEvent, HwEvent),
-    /// Times each case this many times and keeps the fastest wall time
-    /// per pipeline. The simulation is deterministic, so repeats differ
-    /// only by host scheduling noise — best-of-N strips it.
-    pub repeat: usize,
-    /// Guest resource limits (by default a conservative deadline) so a
-    /// wedged case cannot hang the bench; timed runs therefore measure
-    /// the hot loop *with* its limit checks armed.
-    pub limits: pp::usim::GuestLimits,
-    /// Guard mode: compare this run's totals against a prior trajectory
-    /// file instead of writing one; exit nonzero on a regression beyond
-    /// `tolerance`.
-    pub check: Option<String>,
-    /// Allowed relative regression in `--check` mode (0.02 = 2%).
-    pub tolerance: f64,
-    /// Meta-profiling mode: skip the stopwatch entirely; collect the
-    /// suite-wide dynamic micro-op mix (the self-hosted PGO input) and
-    /// write it to this path as a registry JSON.
-    pub emit_meta: Option<String>,
 }
 
 fn sample(
@@ -158,21 +130,25 @@ fn sample_best(
 /// Any case that fails to instrument, faults mid-run, or cannot write
 /// the JSON file fails the whole command — CI's `pp bench --smoke` step
 /// relies on that.
-pub fn run_bench(args: &BenchArgs) -> Result<(), PpError> {
-    let scale = if args.smoke {
-        args.scale.min(0.05)
+pub fn run_bench(args: &Args) -> Result<(), PpError> {
+    args.operands::<0>()?;
+    let smoke = args.on("--smoke");
+    let scale = if smoke {
+        args.scale().min(0.05)
     } else {
-        args.scale
+        args.scale()
     };
-    if let Some(path) = &args.emit_meta {
-        return emit_meta(args, scale, path);
+    let events = args.events()?;
+    if let Some(path) = args.str("--emit-meta") {
+        return emit_meta(events, scale, path);
     }
     let cases = pp::bench::cases_at(scale);
-    let profiler =
-        Profiler::new(pp::usim::MachineConfig::default()).with_limits(args.limits.clone());
-    let config = RunConfig::CombinedHw {
-        events: args.events,
-    };
+    // A conservative deadline by default so a wedged case cannot hang
+    // the bench; timed runs therefore measure the hot loop *with* its
+    // limit checks armed.
+    let profiler = Profiler::new(pp::usim::MachineConfig::default())
+        .with_limits(args.guest_limits(crate::ACCOUNTING_DEADLINE_S));
+    let config = RunConfig::CombinedHw { events };
 
     // Cases run strictly one at a time, and each pipeline gets its own
     // pass over the whole suite. Timing under `bench::par_map` would let
@@ -181,7 +157,13 @@ pub fn run_bench(args: &BenchArgs) -> Result<(), PpError> {
     // per case lets the reference interpreter's much larger allocations
     // perturb the allocator and page state that the optimized pipeline
     // is then timed against.
-    let repeat = if args.smoke { 1 } else { args.repeat.max(1) };
+    // The simulation is deterministic, so repeats differ only by host
+    // scheduling noise; best-of-N strips it.
+    let repeat = if smoke {
+        1
+    } else {
+        args.get("--repeat").unwrap_or(3)
+    };
     let optimized: Vec<PipelineSample> = cases
         .iter()
         .map(|case| {
@@ -267,10 +249,10 @@ pub fn run_bench(args: &BenchArgs) -> Result<(), PpError> {
         peak_cct as f64 / 1024.0,
     );
 
-    if let Some(check_path) = &args.check {
+    if let Some(check_path) = args.str("--check") {
         return check_against(
             check_path,
-            args.tolerance,
+            args.get("--tolerance").unwrap_or(0.02),
             opt_wall,
             speedup,
             have_ref,
@@ -278,8 +260,8 @@ pub fn run_bench(args: &BenchArgs) -> Result<(), PpError> {
         );
     }
 
-    let path = match (&args.out, args.smoke) {
-        (Some(p), _) => Some(p.clone()),
+    let path = match (args.str("--out"), smoke) {
+        (Some(p), _) => Some(p.to_string()),
         (None, true) => None,
         (None, false) => Some(format!("BENCH_{}.json", today_utc())),
     };
@@ -499,16 +481,13 @@ fn check_against(
 /// registry-JSON `uop.*` counters. The checked-in copy lives at
 /// `crates/usim/meta/uop_meta.json` and is what the dispatch layout is
 /// derived from.
-fn emit_meta(args: &BenchArgs, scale: f64, path: &str) -> Result<(), PpError> {
+fn emit_meta(events: (HwEvent, HwEvent), scale: f64, path: &str) -> Result<(), PpError> {
     let cases = pp::bench::cases_at(scale);
-    let config = RunConfig::CombinedHw {
-        events: args.events,
-    };
+    let config = RunConfig::CombinedHw { events };
     let mode = config.mode().expect("combined pipeline instruments");
     let mut meta = pp::usim::MetaProfile::default();
     for case in &cases {
-        let options =
-            pp::instrument::InstrumentOptions::new(mode).with_events(args.events.0, args.events.1);
+        let options = pp::instrument::InstrumentOptions::new(mode).with_events(events.0, events.1);
         let inst = pp::instrument::instrument_program(&case.program, options)
             .map_err(|e| PpError::Usage(format!("{}: {e}", case.name)))?;
         let one = pp::usim::MetaProfile::collect(&inst.program, pp::usim::MachineConfig::default())

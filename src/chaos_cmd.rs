@@ -22,14 +22,24 @@ use pp::profiler::chaos::{ChaosProxy, FaultPlan};
 use pp::profiler::{BindAddr, PpError};
 use pp::usim::CancelToken;
 
+use crate::Args;
+
 /// Runs the proxy until a signal arrives.
 ///
 /// # Errors
 ///
-/// [`PpError::Usage`] for an unparsable plan, [`PpError::Io`] when the
-/// listen address cannot be bound.
-pub fn run_chaos(listen: &str, upstream: &str, plan: &str, seed: u64) -> Result<(), PpError> {
-    let plan = FaultPlan::parse(plan).map_err(PpError::Usage)?;
+/// [`PpError::Usage`] for a missing address or an unparsable plan,
+/// [`PpError::Io`] when the listen address cannot be bound.
+pub fn run_chaos(args: &Args) -> Result<(), PpError> {
+    args.operands::<0>()?;
+    let listen = args
+        .str("--listen")
+        .ok_or_else(|| PpError::Usage("pp chaos needs --listen HOST:PORT".into()))?;
+    let upstream = args
+        .str("--upstream")
+        .ok_or_else(|| PpError::Usage("pp chaos needs --upstream ADDR".into()))?;
+    let seed = args.get("--seed").unwrap_or(0);
+    let plan = FaultPlan::parse(args.str("--plan").unwrap_or("ok")).map_err(PpError::Usage)?;
     let upstream = BindAddr::parse(upstream);
     let mut proxy = ChaosProxy::start(listen, upstream.clone(), plan.clone(), seed)
         .map_err(|e| PpError::io(listen, e))?;

@@ -69,130 +69,20 @@
 //!
 //! <target> is a suite benchmark name (see `pp list`) or a path to a
 //! textual IR file (see pp_ir::parse).
-//!
-//! options:
-//!   --config base|edge|flow|flow-hw|context-hw|context-flow|combined
-//!   --events <ev0>,<ev1>      counter selection (default insts,dc_miss)
-//!   --scale <f64>             suite workload scale (default 1.0)
-//!   --threshold <f64>         hot threshold (default 0.01)
-//!   --cct-cap <u32>           cap CCT records; overflow collapses
-//!                             DCG-style (default unlimited)
-//!   --max-uops <u64>          abort runs after this many micro-ops
-//!                             (partial profile, exit code 2)
-//!   --fuel <u64>              guest µop budget; a run that exhausts it
-//!                             stops with a typed limit error (batch
-//!                             default 1e9; elsewhere unlimited)
-//!   --deadline <secs>         guest wall-clock deadline; 0 disables
-//!                             (stats/bench default 120s, else none)
-//!   --jobs <n>                (batch) worker threads (default: up to 4)
-//!   --retries <n>             (batch/serve) transient-failure retry
-//!                             budget per job; (submit/status/fetch/
-//!                             watch) reconnect/retry budget (default 2)
-//!   --seed <u64>              (batch/serve) backoff-jitter seed, stored
-//!                             in the manifest; (client verbs/chaos)
-//!                             retry-jitter / plan-rotation seed
-//!                             (default 0)
-//!   --checkpoint-dir <DIR>    (batch) persist the manifest + finished
-//!                             profiles there after each completion;
-//!                             (merge) commit a resumable fold
-//!                             checkpoint every --checkpoint-every
-//!                             shards
-//!   --resume <DIR>            (batch) resume an interrupted campaign
-//!                             from DIR's manifest; (merge) resume an
-//!                             interrupted fold — the result is
-//!                             byte-identical to an uninterrupted run
-//!   --strict                  (merge) first corrupt/alien shard fails
-//!                             the merge (exit 3) instead of
-//!                             quarantining it
-//!   --inject <spec>           (batch) fault injection: comma-separated
-//!                             hang@I | panic@I[:N] | transient@I[:N] |
-//!                             corrupt@I[:N] | truncate@W[:KEEP] | halt@W
-//!   --quarantine-cap <n>      (batch/serve) keep at most n quarantined
-//!                             attempt-sets, evicting oldest-first
-//!                             (default 0 = keep everything)
-//!   --socket <PATH>           (serve/submit/status) daemon address: a
-//!                             Unix socket path, `unix:PATH`,
-//!                             `tcp:HOST:PORT`, or a bare `HOST:PORT`
-//!                             (default pp.sock)
-//!   --listen <HOST:PORT>      (serve) also listen on TCP; `:0` picks an
-//!                             ephemeral port, reported on stdout;
-//!                             (chaos) the proxy's listen address
-//!   --max-conns <n>           (serve) concurrent-connection cap; excess
-//!                             connections get a typed `overloaded`
-//!                             refusal with retry_after_ms (default 64;
-//!                             0 = unlimited)
-//!   --idle-timeout <secs>     (serve) close connections idle between
-//!                             requests, with a typed `idle-timeout`
-//!                             frame (default 300; 0 = never)
-//!   --io-timeout <secs>       (serve) per-frame read / per-write
-//!                             deadline — the slow-loris cutoff
-//!                             (default 10; 0 = none)
-//!   --timeout <secs>          (submit/status/fetch/watch) per-reply
-//!                             deadline; an unresponsive daemon is a
-//!                             typed transport failure, exit 4
-//!                             (default 30)
-//!   --upstream <ADDR>         (chaos) the real daemon the proxy
-//!                             forwards to (`tcp:HOST:PORT`)
-//!   --plan <SPEC>             (chaos) comma-separated fault plan:
-//!                             ok | delay:MS | throttle:BYTES | tear:K |
-//!                             reset:M | blackhole (default ok)
-//!   --queue-cap <n>           (serve) bounded admission queue; a full
-//!                             queue rejects with `overloaded`, exit 4
-//!   --quota <n>               (serve) max in-flight jobs per client
-//!                             (default 0 = unlimited)
-//!   --checkpoint-every <n>    (serve) terminal jobs between checkpoint
-//!                             manifest writes (default 8)
-//!   --inject-every <spec>     (serve) soak-test faults: comma-separated
-//!                             panic=N | transient=N | corrupt=N, hitting
-//!                             every N-th job's first attempt
-//!   --client <NAME>           (submit) client name for quota accounting;
-//!                             (watch) only that client's events
-//!   --wait                    (submit) block until the job is terminal
-//!   --wait-idle               (status) block until the daemon is idle
-//!   --metrics                 (status) print every counter, gauge, and
-//!                             histogram of the daemon's registry
-//!   --prom                    (status) Prometheus text exposition of
-//!                             the same registry (implies --metrics)
-//!   --job <id>                (watch) only that job's events
-//!   --since <seq>             (watch) replay retained events from that
-//!                             bus sequence number first (0 = all)
-//!   --json                    (watch) raw NDJSON frames, one per line
-//!                             (for watch, --events takes a comma list
-//!                             of kinds: admitted,queued,started,
-//!                             retrying,quarantined,done,state,metrics)
-//!   --against <target>        (verify) the program a flow profile was
-//!                             collected from, enabling the
-//!                             flow-conservation walk
-//!   --clobber-pics <read>     (verify) seed a counter clobber at that
-//!                             read index — the unreconcilable-wrap
-//!                             fault the wrap checks must catch
-//!   --smoke                   (bench) tiny scale, no BENCH file unless
-//!                             --out is given — the CI execution check
-//!   --repeat <n>              (bench) time each case n times, report the
-//!                             best (default 3; noise rejection)
-//!   --check <FILE>            (bench) regression guard: compare totals
-//!                             against a recorded BENCH_*.json and exit
-//!                             nonzero on a slowdown beyond --tolerance;
-//!                             never writes the trajectory
-//!   --tolerance <f>           (bench) allowed relative regression for
-//!                             --check (default 0.02 = 2%)
-//!   --emit-meta <FILE>        (bench) write the suite-wide dynamic
-//!                             micro-op mix (the self-hosted PGO input;
-//!                             checked in at crates/usim/meta/uop_meta.json)
-//!   --trace                   record pipeline spans; print a collapsed
-//!                             flamegraph stack to stderr at exit
-//!                             (PP_TRACE=1 does the same)
-//!   --trace-out <FILE>        write recorded spans as Chrome trace_event
-//!                             JSON (chrome://tracing, Perfetto)
-//!   --quiet                   suppress all stderr diagnostics
-//!                             (PP_LOG=warn|info|debug sets the level)
-//!
-//! exit codes: 0 success; 1 usage or instrumentation error; 2 run
-//! aborted (partial profile) or integrity violation; 3 I/O error or
-//! corrupt profile; 4 service unavailable (overloaded, quota
-//! exhausted, draining, or an unreachable/unresponsive daemon on
-//! either transport — back off and resubmit).
 //! ```
+//!
+//! Every flag is declared once, as a row of [`FLAGS`]: its name, value
+//! rule, the verbs that read it, and its help line. Run `pp` with no
+//! arguments for the usage text generated from those rows (every verb
+//! with its flags, then every flag with its help); a stray flag or a
+//! wrong operand count prints the verb's own part of it. A flag a verb
+//! does not read is a usage error, never silently ignored.
+//!
+//! Exit codes: 0 success; 1 usage or instrumentation error; 2 run
+//! aborted (partial profile) or integrity violation; 3 I/O error or
+//! corrupt profile; 4 service unavailable (overloaded, quota exhausted,
+//! draining, or an unreachable/unresponsive daemon on either transport
+//! — back off and resubmit).
 
 mod batch_cmd;
 mod bench_cmd;
@@ -203,7 +93,9 @@ mod serve_cmd;
 mod signals;
 mod verify_cmd;
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 use pp::cct::{CctStats, SerializeError};
@@ -217,134 +109,336 @@ use pp::usim::{ExecError, GuestLimits, MachineConfig};
 /// CI forever. `--deadline 0` disables it.
 const ACCOUNTING_DEADLINE_S: f64 = 120.0;
 
-struct Options {
-    config: String,
-    /// Was `--config` given explicitly? (`pp stats` defaults to the
-    /// combined pipeline, unlike the other commands.)
-    config_set: bool,
-    events: (HwEvent, HwEvent),
-    /// The raw `--events` value. Most commands parse it as an
-    /// `ev0,ev1` counter pair into `events`; `pp watch` reads it as a
-    /// comma-separated event-kind filter instead.
-    events_spec: Option<String>,
-    scale: f64,
-    threshold: f64,
-    out: Option<String>,
-    cct_cap: u32,
-    max_uops: Option<u64>,
-    fuel: Option<u64>,
-    deadline: Option<f64>,
-    jobs: usize,
-    retries: u32,
-    seed: u64,
-    checkpoint_dir: Option<String>,
-    resume: Option<String>,
-    inject: Option<String>,
-    against: Option<String>,
-    clobber_pics: Option<u64>,
-    smoke: bool,
-    repeat: usize,
-    check: Option<String>,
-    tolerance: f64,
-    emit_meta: Option<String>,
-    trace: bool,
-    trace_out: Option<String>,
-    quiet: bool,
-    socket: String,
-    listen: Option<String>,
-    max_conns: usize,
-    idle_timeout: f64,
-    io_timeout: f64,
-    timeout: Option<f64>,
-    upstream: Option<String>,
-    plan: String,
-    client: String,
-    /// Was `--client` given explicitly? (`pp watch` only filters by
-    /// client when it was.)
-    client_set: bool,
-    wait: bool,
-    wait_idle: bool,
-    metrics: bool,
-    prom: bool,
-    job: Option<u64>,
-    since: Option<u64>,
-    json: bool,
-    queue_cap: usize,
-    quota: usize,
-    checkpoint_every: u32,
-    quarantine_cap: usize,
-    inject_every: Option<String>,
-    strict: bool,
+/// The counter pair on `%pic0`/`%pic1` when `--events` is absent.
+const DEFAULT_EVENTS: (HwEvent, HwEvent) = (HwEvent::Insts, HwEvent::DcMiss);
+
+/// What a flag's value must be. The parse loop checks every value
+/// against its flag's rule, and the service's job-spec resolver checks
+/// `scale=` with the same rule, so a value one front end refuses the
+/// other refuses too.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Rule {
+    /// No value: the flag is on when given.
+    Switch,
+    /// Any string; the verb interprets it.
+    Str,
+    U64,
+    U32,
+    /// An integer in `1..=u32::MAX`: a size that must not be zero.
+    Count,
+    /// A finite number ≥ 0 (seconds, where 0 disables; a tolerance).
+    NonNeg,
+    /// A finite number > 0: a workload scale.
+    Scale,
+    /// A number in [0, 1].
+    Fraction,
 }
 
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            config: "flow-hw".to_string(),
-            config_set: false,
-            events: (HwEvent::Insts, HwEvent::DcMiss),
-            events_spec: None,
-            scale: 1.0,
-            threshold: 0.01,
-            out: None,
-            cct_cap: 0,
-            max_uops: None,
-            fuel: None,
-            deadline: None,
-            jobs: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2)
-                .min(4),
-            retries: 2,
-            seed: 0,
-            checkpoint_dir: None,
-            resume: None,
-            inject: None,
-            against: None,
-            clobber_pics: None,
-            smoke: false,
-            repeat: 3,
-            check: None,
-            tolerance: 0.02,
-            emit_meta: None,
-            trace: false,
-            trace_out: None,
-            quiet: false,
-            socket: "pp.sock".to_string(),
-            listen: None,
-            max_conns: 64,
-            idle_timeout: 300.0,
-            io_timeout: 10.0,
-            timeout: None,
-            upstream: None,
-            plan: "ok".to_string(),
-            client: "cli".to_string(),
-            client_set: false,
-            wait: false,
-            wait_idle: false,
-            metrics: false,
-            prom: false,
-            job: None,
-            since: None,
-            json: false,
-            queue_cap: 64,
-            quota: 0,
-            checkpoint_every: 8,
-            quarantine_cap: 0,
-            inject_every: None,
-            strict: false,
+impl Rule {
+    fn expects(self) -> &'static str {
+        match self {
+            Rule::Switch => "no value",
+            Rule::Str => "a string",
+            Rule::U64 => "an integer in 0..=2^64-1",
+            Rule::U32 => "an integer in 0..=2^32-1",
+            Rule::Count => "an integer in 1..=2^32-1",
+            Rule::NonNeg => "a finite number >= 0",
+            Rule::Scale => "a finite number > 0",
+            Rule::Fraction => "a number in [0, 1]",
+        }
+    }
+
+    /// Checks `text` as the value of `what` (a flag or a spec key); the
+    /// one format every bad value is reported in.
+    fn check(self, what: &str, text: &str) -> Result<(), PpError> {
+        let num = text.parse::<f64>().ok();
+        let ok = match self {
+            Rule::Switch | Rule::Str => true,
+            Rule::U64 => text.parse::<u64>().is_ok(),
+            Rule::U32 => text.parse::<u32>().is_ok(),
+            Rule::Count => text.parse::<u32>().is_ok_and(|n| n >= 1),
+            Rule::NonNeg => num.is_some_and(|x| x.is_finite() && x >= 0.0),
+            Rule::Scale => num.is_some_and(|x| x.is_finite() && x > 0.0),
+            Rule::Fraction => num.is_some_and(|x| (0.0..=1.0).contains(&x)),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(usage_err(format!(
+                "bad {what} value `{text}` (expect {})",
+                self.expects()
+            )))
         }
     }
 }
 
-impl Options {
+/// One row of [`FLAGS`].
+struct Flag {
+    name: &'static str,
+    /// The value's placeholder in the usage text; empty for a switch.
+    metavar: &'static str,
+    rule: Rule,
+    /// The verbs that read the flag, space-separated; `*` is every verb.
+    verbs: &'static str,
+    help: &'static str,
+}
+
+impl Flag {
+    fn read_by(&self, verb: &str) -> bool {
+        self.verbs.split(' ').any(|v| v == "*" || v == verb)
+    }
+}
+
+const fn flag(
+    name: &'static str,
+    metavar: &'static str,
+    rule: Rule,
+    verbs: &'static str,
+    help: &'static str,
+) -> Flag {
+    Flag {
+        name,
+        metavar,
+        rule,
+        verbs,
+        help,
+    }
+}
+
+use Rule::{Count, Fraction, NonNeg, Scale, Str, Switch, U32, U64};
+
+/// Every flag `pp` takes, each declared once: the parse loop gates and
+/// checks argv against these rows, and the usage text is generated
+/// from them.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    flag("--trace", "", Switch, "*", "record pipeline spans; print collapsed flamegraph stacks to stderr at exit (PP_TRACE=1 does the same)"),
+    flag("--trace-out", "FILE", Str, "*", "write recorded spans as Chrome trace_event JSON (chrome://tracing, Perfetto)"),
+    flag("--quiet", "", Switch, "*", "suppress all stderr diagnostics (PP_LOG=warn, info or debug sets the level)"),
+    flag("--scale", "F", Scale, "run hot report cct stats verify annotate decode bench batch submit", "suite workload scale (default 1.0)"),
+    flag("--config", "NAME", Str, "run stats verify batch submit", "pipeline: base, edge, flow, flow-hw, context-hw, context-flow or combined (default flow-hw for run, else combined)"),
+    flag("--events", "LIST", Str, "run cct stats verify bench batch submit watch", "counter pair ev0,ev1 (default insts,dc_miss); watch: comma list of event kinds to show (admitted, queued, started, retrying, quarantined, done, state, metrics)"),
+    flag("--threshold", "F", Fraction, "hot report stats", "hot-path share of misses (default 0.01)"),
+    flag("--out", "FILE", Str, "cct stats merge bench fetch", "write the CCT profile, stats JSON, fleet profile, BENCH file or fetched artifact here"),
+    flag("--max-uops", "N", U64, "run hot report cct stats verify annotate batch serve", "abort runs after N micro-ops (partial profile, exit 2)"),
+    flag("--cct-cap", "N", U32, "run hot report cct stats verify annotate batch serve", "cap CCT records; overflow collapses DCG-style (default 0 = unlimited)"),
+    flag("--fuel", "N", U64, "run hot report cct stats verify annotate bench batch serve", "guest µop budget; exhausting it is a typed limit error (batch/serve default 1e9, else unlimited)"),
+    flag("--deadline", "S", NonNeg, "run hot report cct stats verify annotate bench batch serve submit status watch", "guest wall-clock deadline, 0 = none (stats/bench default 120); submit/status/watch: wait budget (default 600)"),
+    flag("--against", "TARGET", Str, "verify", "the program a flow profile was collected from, enabling the flow-conservation walk"),
+    flag("--clobber-pics", "READ", U64, "verify", "seed a counter clobber at that read index: the unreconcilable-wrap fault the wrap checks must catch"),
+    flag("--strict", "", Switch, "merge", "the first corrupt or alien shard fails the merge (exit 3) instead of being quarantined"),
+    flag("--checkpoint-dir", "DIR", Str, "merge batch serve status", "state directory: batch manifest and profiles, resumable merge fold, daemon state (default pp-serve-state)"),
+    flag("--resume", "DIR", Str, "merge batch", "resume an interrupted batch or merge from DIR; the result is byte-identical to an uninterrupted run"),
+    flag("--checkpoint-every", "N", Count, "merge serve", "shards (merge) or terminal jobs (serve) between checkpoint writes (default 8)"),
+    flag("--inject", "SPEC", Str, "merge batch", "comma list of faults; batch: hang@I, panic@I[:N], transient@I[:N], corrupt@I[:N], truncate@W[:KEEP], halt@W; merge: halt@N"),
+    flag("--metrics", "", Switch, "merge status", "print every counter, gauge and histogram of the fold's (merge) or daemon's (status) registry"),
+    flag("--smoke", "", Switch, "bench", "tiny scale, one repeat, no BENCH file unless --out is given"),
+    flag("--repeat", "N", Count, "bench", "time each case N times and keep the best (default 3)"),
+    flag("--check", "FILE", Str, "bench", "regression guard against a recorded BENCH_*.json; never writes the trajectory"),
+    flag("--tolerance", "F", NonNeg, "bench", "allowed relative regression for --check (default 0.02)"),
+    flag("--emit-meta", "FILE", Str, "bench", "write the suite-wide dynamic micro-op mix (checked in at crates/usim/meta/uop_meta.json)"),
+    flag("--jobs", "N", Count, "batch serve", "worker threads (default: the cores, at most 4)"),
+    flag("--retries", "N", U32, "batch serve submit status fetch watch", "transient-failure retries per job; client verbs: reconnect/retry budget (default 2)"),
+    flag("--seed", "N", U64, "batch serve submit status fetch watch chaos", "backoff-jitter seed (stored in the manifest), client retry-jitter or chaos plan-rotation seed (default 0)"),
+    flag("--quarantine-cap", "N", U32, "batch serve", "keep at most N quarantined attempt-sets, evicting oldest first (default 0 = all)"),
+    flag("--socket", "ADDR", Str, "serve submit status fetch watch", "daemon address: PATH, unix:PATH, tcp:HOST:PORT or HOST:PORT (default pp.sock)"),
+    flag("--listen", "ADDR", Str, "serve chaos", "serve: also listen on TCP; chaos: the proxy's address (HOST:0 picks a port, reported on stdout)"),
+    flag("--queue-cap", "N", Count, "serve", "bounded admission queue; a full queue rejects with `overloaded`, exit 4 (default 64)"),
+    flag("--quota", "N", U32, "serve", "max in-flight jobs per client (default 0 = unlimited)"),
+    flag("--max-conns", "N", U32, "serve", "concurrent-connection cap; excess get a typed `overloaded` refusal (default 64, 0 = unlimited)"),
+    flag("--idle-timeout", "S", NonNeg, "serve", "close connections idle between requests (default 300, 0 = never)"),
+    flag("--io-timeout", "S", NonNeg, "serve", "per-frame read / per-write deadline, the slow-loris cutoff (default 10, 0 = none)"),
+    flag("--inject-every", "SPEC", Str, "serve", "soak faults: comma list of panic=N, transient=N, corrupt=N, hitting every N-th job's first attempt"),
+    flag("--timeout", "S", NonNeg, "submit status fetch watch", "per-reply deadline; an unresponsive daemon is a transport failure, exit 4 (default 30)"),
+    flag("--client", "NAME", Str, "submit watch", "submit: client name for quota accounting (default cli); watch: only that client's events"),
+    flag("--wait", "", Switch, "submit", "block until the job is terminal"),
+    flag("--wait-idle", "", Switch, "status", "block until the daemon is idle"),
+    flag("--prom", "", Switch, "status", "Prometheus text exposition of the daemon's registry (implies --metrics)"),
+    flag("--job", "ID", U64, "watch", "only that job's events"),
+    flag("--since", "SEQ", U64, "watch", "replay retained events from that bus sequence number first (0 = all)"),
+    flag("--json", "", Switch, "watch", "raw NDJSON frames, one per line"),
+    flag("--upstream", "ADDR", Str, "chaos", "the daemon the proxy forwards to (tcp:HOST:PORT)"),
+    flag("--plan", "SPEC", Str, "chaos", "comma list of ok, delay:MS, throttle:BYTES, tear:K, reset:M, blackhole, dealt by accept order (default ok)"),
+];
+
+/// A verb's entry point; it reads its operands and flags from [`Args`].
+type Handler = fn(&Args) -> Result<(), PpError>;
+
+/// Every verb: its name, its operands in the usage text, and its entry
+/// point.
+#[rustfmt::skip]
+const VERBS: &[(&str, &str, Handler)] = &[
+    ("list", "", cmd_list),
+    ("run", "<target>", cmd_run),
+    ("hot", "<target>", cmd_hot),
+    ("report", "<target>", cmd_report),
+    ("cct", "<target>", cmd_cct),
+    ("stats", "<file.cct|target>", cmd_stats),
+    ("verify", "<file|dir|target>", verify_cmd::run_verify),
+    ("merge", "<shards|dirs...>", merge_cmd::run_merge_cmd),
+    ("annotate", "<target> <proc>", cmd_annotate),
+    ("decode", "<target> <proc> <sum>", cmd_decode),
+    ("bench", "", bench_cmd::run_bench),
+    ("batch", "[targets...]", batch_cmd::run_batch),
+    #[cfg(unix)]
+    ("serve", "", serve_cmd::run_serve),
+    #[cfg(unix)]
+    ("submit", "<target>", serve_cmd::run_submit),
+    #[cfg(unix)]
+    ("status", "[job-id]", serve_cmd::run_status),
+    #[cfg(unix)]
+    ("fetch", "[artifact]", serve_cmd::run_fetch),
+    #[cfg(unix)]
+    ("watch", "", serve_cmd::run_watch),
+    ("chaos", "", chaos_cmd::run_chaos),
+];
+
+/// One command line, gated and checked against [`FLAGS`]: the verb, its
+/// operands, and the flags that were given. The readers return `None`
+/// for a flag that was not given; each verb applies its own default.
+struct Args {
+    verb: &'static str,
+    handler: Handler,
+    operands: Vec<String>,
+    /// Flag name → value (empty for a switch); a repeated flag keeps its
+    /// last value.
+    given: BTreeMap<&'static str, String>,
+}
+
+impl Args {
+    /// The one parse loop: every `--flag` must be in a [`FLAGS`] row that
+    /// names `verb`, and its value must pass the row's rule.
+    fn parse(verb: &str, argv: &[String]) -> Result<Args, PpError> {
+        let &(verb, _, handler) = VERBS
+            .iter()
+            .find(|v| v.0 == verb)
+            .ok_or_else(|| usage_err(usage(None)))?;
+        let mut args = Args {
+            verb,
+            handler,
+            operands: Vec::new(),
+            given: BTreeMap::new(),
+        };
+        let mut it = argv.iter();
+        while let Some(a) = it.next() {
+            if !a.starts_with("--") {
+                args.operands.push(a.clone());
+                continue;
+            }
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.name == a && f.read_by(verb))
+                .ok_or_else(|| {
+                    usage_err(format!(
+                        "`pp {verb}` does not take {a}\n{}",
+                        usage(Some(verb))
+                    ))
+                })?;
+            let value = match flag.rule {
+                Rule::Switch => String::new(),
+                rule => {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| usage_err(format!("{a} needs a value")))?;
+                    rule.check(flag.name, v)?;
+                    v.clone()
+                }
+            };
+            args.given.insert(flag.name, value);
+        }
+        Ok(args)
+    }
+
+    /// The raw value of `flag`.
+    fn str(&self, flag: &str) -> Option<&str> {
+        debug_assert!(
+            FLAGS.iter().any(|f| f.name == flag && f.read_by(self.verb)),
+            "`pp {}` reads {flag}, which its FLAGS row does not list",
+            self.verb
+        );
+        self.given.get(flag).map(String::as_str)
+    }
+
+    /// Was the switch `flag` given?
+    fn on(&self, flag: &str) -> bool {
+        self.str(flag).is_some()
+    }
+
+    /// The value of `flag` as a number; the parse loop has already
+    /// checked it against the flag's rule.
+    fn get<T: FromStr>(&self, flag: &str) -> Option<T> {
+        self.str(flag)
+            .map(|v| v.parse().ok().expect("value checked against its rule"))
+    }
+
+    /// The operands, when there are exactly `N`; else the verb's usage.
+    fn operands<const N: usize>(&self) -> Result<[&str; N], PpError> {
+        let all: Vec<&str> = self.operands.iter().map(String::as_str).collect();
+        all.try_into()
+            .map_err(|_| usage_err(usage(Some(self.verb))))
+    }
+
+    /// The operand of a verb that takes none or one.
+    fn optional_operand(&self) -> Result<Option<&str>, PpError> {
+        match self.operands.as_slice() {
+            [] => Ok(None),
+            [one] => Ok(Some(one)),
+            _ => Err(usage_err(usage(Some(self.verb)))),
+        }
+    }
+
+    fn scale(&self) -> f64 {
+        self.get("--scale").unwrap_or(1.0)
+    }
+
+    fn threshold(&self) -> f64 {
+        self.get("--threshold").unwrap_or(0.01)
+    }
+
+    /// The `--events` counter pair (every verb but `watch`, which reads
+    /// the flag as an event-kind filter).
+    fn events(&self) -> Result<(HwEvent, HwEvent), PpError> {
+        self.str("--events")
+            .map_or(Ok(DEFAULT_EVENTS), parse_events)
+    }
+
+    /// The `--config` pipeline with the `--events` pair; `default` names
+    /// the verb's pipeline when `--config` is absent.
+    fn run_config(&self, default: &str) -> Result<RunConfig, PpError> {
+        config_by_name(self.str("--config").unwrap_or(default), self.events()?)
+    }
+
+    /// `--jobs`, defaulting to the host's cores, at most 4.
+    fn workers(&self) -> usize {
+        self.get("--jobs").unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(2)
+                .min(4)
+        })
+    }
+
+    /// The checkpoint directory of `pp batch` and `pp merge`, and whether
+    /// to resume from it. `--resume DIR` names the directory itself, so a
+    /// `--checkpoint-dir` naming another one is refused rather than
+    /// dropped.
+    fn checkpoint(&self) -> Result<(Option<&str>, bool), PpError> {
+        match (self.str("--resume"), self.str("--checkpoint-dir")) {
+            (Some(resume), Some(dir)) if resume != dir => Err(usage_err(format!(
+                "--resume {resume} and --checkpoint-dir {dir} name different directories"
+            ))),
+            (Some(resume), _) => Ok((Some(resume), true)),
+            (None, dir) => Ok((dir, false)),
+        }
+    }
+
     fn profiler(&self) -> Profiler {
         let mut mc = MachineConfig::default();
-        if let Some(uops) = self.max_uops {
+        if let Some(uops) = self.get("--max-uops") {
             mc.max_instructions = uops;
         }
         Profiler::new(mc)
-            .with_cct_record_cap(self.cct_cap)
+            .with_cct_record_cap(self.get("--cct-cap").unwrap_or(0))
             .with_limits(self.guest_limits(0.0))
     }
 
@@ -354,14 +448,57 @@ impl Options {
     /// an explicit `--deadline 0` always means "no deadline".
     fn guest_limits(&self, default_deadline_s: f64) -> GuestLimits {
         let mut limits = GuestLimits::none();
-        if let Some(fuel) = self.fuel {
+        if let Some(fuel) = self.get("--fuel") {
             limits = limits.with_fuel(fuel);
         }
-        let deadline = self.deadline.unwrap_or(default_deadline_s);
+        let deadline = self.get("--deadline").unwrap_or(default_deadline_s);
         if deadline > 0.0 {
             limits = limits.with_deadline(Duration::from_secs_f64(deadline));
         }
         limits
+    }
+}
+
+/// The usage text, generated from [`VERBS`] and [`FLAGS`]: for `None`
+/// every verb with its flags and then every flag's help line, for a verb
+/// its own line and the help of the flags it takes.
+fn usage(verb: Option<&str>) -> String {
+    let mut text = String::from("usage:");
+    for (name, operands, _) in VERBS.iter().filter(|v| verb.is_none_or(|x| x == v.0)) {
+        let flags = FLAGS.iter().filter(|f| f.verbs != "*" && f.read_by(name));
+        let flags = flags.map(|f| format!("[{} {}]", f.name, f.metavar).replace(" ]", "]"));
+        text.push_str(&format!("\n  pp {name}:"));
+        wrap(
+            &mut text,
+            operands.split(' ').map(String::from).chain(flags),
+            6,
+        );
+    }
+    text.push_str("\nevery verb also takes [--trace] [--trace-out FILE] [--quiet]\nflags:");
+    for f in FLAGS.iter().filter(|f| verb.is_none_or(|v| f.read_by(v))) {
+        text.push_str(&format!("\n  {:<22}", format!("{} {}", f.name, f.metavar)));
+        wrap(&mut text, f.help.split(' ').map(String::from), 25);
+    }
+    text.push_str(
+        "\n<target> is a suite benchmark (see `pp list`) or a textual IR file\n\
+         exit codes: 0 ok, 1 usage, 2 aborted run or integrity violation,\n\
+         \x20           3 i/o or corrupt profile, 4 service unavailable\n\
+         \x20           (overloaded/quota/draining/unreachable)",
+    );
+    text
+}
+
+/// Appends each of `words` after a space, first starting a new line
+/// indented to column `indent` when the word would pass column 78.
+fn wrap(text: &mut String, words: impl Iterator<Item = String>, indent: usize) {
+    for word in words.filter(|w| !w.is_empty()) {
+        let line = &text[text.rfind('\n').map_or(0, |i| i + 1)..];
+        if line.chars().count() + 1 + word.chars().count() > 78 {
+            text.push('\n');
+            text.push_str(&" ".repeat(indent - 1));
+        }
+        text.push(' ');
+        text.push_str(&word);
     }
 }
 
@@ -383,263 +520,13 @@ fn parse_event(name: &str) -> Result<HwEvent, PpError> {
         })
 }
 
-/// Parses a non-negative seconds value (`--timeout`, `--idle-timeout`,
-/// `--io-timeout`; 0 always means "disabled").
-fn parse_seconds(flag: &str, text: String) -> Result<f64, PpError> {
-    let s: f64 = text
-        .parse()
-        .map_err(|_| usage_err(format!("bad {flag} value (expect seconds)")))?;
-    if s < 0.0 || !s.is_finite() {
-        return Err(usage_err(format!("{flag} must be a non-negative number")));
-    }
-    Ok(s)
-}
-
-/// The flags each verb reads: one row per verb (a verb may continue on
-/// the next row), and the `*` row every verb takes. `parse_options`
-/// refuses any other flag, so a flag a verb would ignore is a usage
-/// error rather than silently dropped.
-const VERB_FLAGS: &str = "
-*        --trace --trace-out --quiet
-list
-run      --scale --config --events --max-uops --cct-cap --fuel --deadline
-hot      --scale --threshold --max-uops --cct-cap --fuel --deadline
-report   --scale --threshold --max-uops --cct-cap --fuel --deadline
-cct      --scale --events --out --max-uops --cct-cap --fuel --deadline
-stats    --scale --config --events --threshold --out --max-uops --cct-cap --fuel --deadline
-verify   --scale --config --events --against --clobber-pics
-verify   --max-uops --cct-cap --fuel --deadline
-merge    --out --strict --checkpoint-dir --resume --checkpoint-every --inject --metrics
-annotate --scale --max-uops --cct-cap --fuel --deadline
-decode   --scale
-bench    --scale --smoke --out --events --repeat --fuel --deadline --check --tolerance
-bench    --emit-meta
-batch    --scale --config --events --jobs --retries --seed --checkpoint-dir --resume --inject
-batch    --quarantine-cap --max-uops --cct-cap --fuel --deadline
-serve    --socket --listen --checkpoint-dir --jobs --queue-cap --quota --max-conns
-serve    --idle-timeout --io-timeout --retries --seed --checkpoint-every --quarantine-cap
-serve    --inject-every --max-uops --cct-cap --fuel --deadline
-submit   --socket --timeout --retries --seed --client --wait --deadline --scale --config --events
-status   --socket --timeout --retries --seed --wait-idle --deadline --checkpoint-dir --metrics
-status   --prom
-fetch    --socket --timeout --retries --seed --out
-watch    --socket --timeout --retries --seed --deadline --job --client --events --since --json
-chaos    --listen --upstream --plan --seed
-";
-
-/// The flags `verb` takes per [`VERB_FLAGS`]; `None` for an unknown
-/// verb.
-fn verb_flags(verb: &str) -> Option<Vec<&'static str>> {
-    let mut known = false;
-    let mut flags = Vec::new();
-    for mut row in VERB_FLAGS.lines().map(str::split_whitespace) {
-        match row.next() {
-            Some(v) if v == verb => {
-                known = true;
-                flags.extend(row);
-            }
-            Some("*") => flags.extend(row),
-            _ => {}
-        }
-    }
-    known.then_some(flags)
-}
-
-fn parse_options(verb: &str, args: &[String]) -> Result<(Vec<String>, Options), PpError> {
-    let takes = verb_flags(verb).ok_or_else(|| usage_err(usage()))?;
-    let mut opts = Options::default();
-    let mut positional = Vec::new();
-    let mut it = args.iter();
-    let value = |flag: &str, it: &mut std::slice::Iter<'_, String>| {
-        it.next()
-            .cloned()
-            .ok_or_else(|| usage_err(format!("{flag} needs a value")))
-    };
-    while let Some(a) = it.next() {
-        if a.starts_with("--") && !takes.contains(&a.as_str()) {
-            return Err(usage_err(format!("`pp {verb}` does not take {a}")));
-        }
-        match a.as_str() {
-            "--config" => {
-                opts.config = value("--config", &mut it)?;
-                opts.config_set = true;
-            }
-            "--events" => {
-                // Stored raw: `pp watch` reads a kind filter here, every
-                // other command a counter pair (parsed in main()).
-                opts.events_spec = Some(value("--events", &mut it)?);
-            }
-            "--scale" => {
-                opts.scale = value("--scale", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --scale value"))?;
-            }
-            "--threshold" => {
-                opts.threshold = value("--threshold", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --threshold value"))?;
-            }
-            "--out" => opts.out = Some(value("--out", &mut it)?),
-            "--cct-cap" => {
-                opts.cct_cap = value("--cct-cap", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --cct-cap value (expect a u32)"))?;
-            }
-            "--max-uops" => {
-                opts.max_uops = Some(
-                    value("--max-uops", &mut it)?
-                        .parse()
-                        .map_err(|_| usage_err("bad --max-uops value (expect a u64)"))?,
-                );
-            }
-            "--fuel" => {
-                opts.fuel = Some(
-                    value("--fuel", &mut it)?
-                        .parse()
-                        .map_err(|_| usage_err("bad --fuel value (expect a u64)"))?,
-                );
-            }
-            "--deadline" => {
-                let d: f64 = value("--deadline", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --deadline value (expect seconds)"))?;
-                if d < 0.0 || !d.is_finite() {
-                    return Err(usage_err("--deadline must be a non-negative number"));
-                }
-                opts.deadline = Some(d);
-            }
-            "--jobs" => {
-                opts.jobs = value("--jobs", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --jobs value (expect a positive integer)"))?;
-                if opts.jobs == 0 {
-                    return Err(usage_err("--jobs must be at least 1"));
-                }
-            }
-            "--retries" => {
-                opts.retries = value("--retries", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --retries value (expect a u32)"))?;
-            }
-            "--seed" => {
-                opts.seed = value("--seed", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --seed value (expect a u64)"))?;
-            }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(value("--checkpoint-dir", &mut it)?);
-            }
-            "--resume" => opts.resume = Some(value("--resume", &mut it)?),
-            "--inject" => opts.inject = Some(value("--inject", &mut it)?),
-            "--against" => opts.against = Some(value("--against", &mut it)?),
-            "--clobber-pics" => {
-                opts.clobber_pics =
-                    Some(value("--clobber-pics", &mut it)?.parse().map_err(|_| {
-                        usage_err("bad --clobber-pics value (expect a read index)")
-                    })?);
-            }
-            "--socket" => opts.socket = value("--socket", &mut it)?,
-            "--listen" => opts.listen = Some(value("--listen", &mut it)?),
-            "--max-conns" => {
-                opts.max_conns = value("--max-conns", &mut it)?.parse().map_err(|_| {
-                    usage_err("bad --max-conns value (expect an integer; 0 = unlimited)")
-                })?;
-            }
-            "--idle-timeout" => {
-                opts.idle_timeout =
-                    parse_seconds("--idle-timeout", value("--idle-timeout", &mut it)?)?;
-            }
-            "--io-timeout" => {
-                opts.io_timeout = parse_seconds("--io-timeout", value("--io-timeout", &mut it)?)?;
-            }
-            "--timeout" => {
-                opts.timeout = Some(parse_seconds("--timeout", value("--timeout", &mut it)?)?);
-            }
-            "--upstream" => opts.upstream = Some(value("--upstream", &mut it)?),
-            "--plan" => opts.plan = value("--plan", &mut it)?,
-            "--client" => {
-                opts.client = value("--client", &mut it)?;
-                opts.client_set = true;
-            }
-            "--wait" => opts.wait = true,
-            "--wait-idle" => opts.wait_idle = true,
-            "--metrics" => opts.metrics = true,
-            "--prom" => opts.prom = true,
-            "--json" => opts.json = true,
-            "--job" => {
-                opts.job = Some(
-                    value("--job", &mut it)?
-                        .parse()
-                        .map_err(|_| usage_err("bad --job value (expect a job id)"))?,
-                );
-            }
-            "--since" => {
-                opts.since = Some(
-                    value("--since", &mut it)?
-                        .parse()
-                        .map_err(|_| usage_err("bad --since value (expect a sequence number)"))?,
-                );
-            }
-            "--queue-cap" => {
-                opts.queue_cap = value("--queue-cap", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --queue-cap value (expect a positive integer)"))?;
-                if opts.queue_cap == 0 {
-                    return Err(usage_err("--queue-cap must be at least 1"));
-                }
-            }
-            "--quota" => {
-                opts.quota = value("--quota", &mut it)?.parse().map_err(|_| {
-                    usage_err("bad --quota value (expect an integer; 0 = unlimited)")
-                })?;
-            }
-            "--checkpoint-every" => {
-                opts.checkpoint_every = value("--checkpoint-every", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --checkpoint-every value (expect a u32)"))?;
-                if opts.checkpoint_every == 0 {
-                    return Err(usage_err("--checkpoint-every must be at least 1"));
-                }
-            }
-            "--quarantine-cap" => {
-                opts.quarantine_cap =
-                    value("--quarantine-cap", &mut it)?.parse().map_err(|_| {
-                        usage_err("bad --quarantine-cap value (expect an integer; 0 = unbounded)")
-                    })?;
-            }
-            "--inject-every" => {
-                opts.inject_every = Some(value("--inject-every", &mut it)?);
-            }
-            "--strict" => opts.strict = true,
-            "--smoke" => opts.smoke = true,
-            "--trace" => opts.trace = true,
-            "--trace-out" => opts.trace_out = Some(value("--trace-out", &mut it)?),
-            "--quiet" => opts.quiet = true,
-            "--repeat" => {
-                opts.repeat = value("--repeat", &mut it)?
-                    .parse()
-                    .map_err(|_| usage_err("bad --repeat value (expect a positive integer)"))?;
-                if opts.repeat == 0 {
-                    return Err(usage_err("--repeat must be at least 1"));
-                }
-            }
-            "--check" => opts.check = Some(value("--check", &mut it)?),
-            "--tolerance" => {
-                opts.tolerance = value("--tolerance", &mut it)?.parse().map_err(|_| {
-                    usage_err("bad --tolerance value (expect a fraction, e.g. 0.02)")
-                })?;
-                if opts.tolerance.is_nan() || opts.tolerance < 0.0 {
-                    return Err(usage_err("--tolerance must be non-negative"));
-                }
-            }
-            "--emit-meta" => opts.emit_meta = Some(value("--emit-meta", &mut it)?),
-            other if other.starts_with("--") => {
-                return Err(usage_err(format!("unknown option {other}")))
-            }
-            other => positional.push(other.to_string()),
-        }
-    }
-    Ok((positional, opts))
+/// Parses an `ev0,ev1` counter pair (`--events`, or a job spec's
+/// `events=` key).
+fn parse_events(spec: &str) -> Result<(HwEvent, HwEvent), PpError> {
+    let (a, b) = spec
+        .split_once(',')
+        .ok_or_else(|| usage_err(format!("bad events `{spec}` (expect `ev0,ev1`)")))?;
+    Ok((parse_event(a.trim())?, parse_event(b.trim())?))
 }
 
 fn load_target(target: &str, scale: f64) -> Result<(String, Program), PpError> {
@@ -673,10 +560,6 @@ fn config_by_name(name: &str, events: (HwEvent, HwEvent)) -> Result<RunConfig, P
         "combined" => RunConfig::CombinedHw { events },
         other => return Err(usage_err(format!("unknown config `{other}`"))),
     })
-}
-
-fn run_config(opts: &Options) -> Result<RunConfig, PpError> {
-    config_by_name(&opts.config, opts.events)
 }
 
 fn find_proc(program: &Program, name: &str) -> Result<ProcId, PpError> {
@@ -724,7 +607,7 @@ fn finish(fault: Option<ExecError>) -> Result<(), PpError> {
     }
 }
 
-fn cmd_list() {
+fn cmd_list(_: &Args) -> Result<(), PpError> {
     println!("{:<14} {:>5}  description", "benchmark", "suite");
     for name in pp::workloads::SUITE_NAMES {
         let spec = pp::workloads::spec_for(name).expect("known");
@@ -743,14 +626,16 @@ fn cmd_list() {
             },
         );
     }
+    Ok(())
 }
 
-fn cmd_run(target: &str, opts: &Options) -> Result<(), PpError> {
-    let (name, program) = load_target(target, opts.scale)?;
-    let profiler = opts.profiler();
+fn cmd_run(args: &Args) -> Result<(), PpError> {
+    let [target] = args.operands()?;
+    let config = args.run_config("flow-hw")?;
+    let (name, program) = load_target(target, args.scale())?;
+    let profiler = args.profiler();
     let mut fault = None;
     let base = profiled(&profiler, &program, RunConfig::Base, &mut fault)?;
-    let config = run_config(opts)?;
     let run = profiled(&profiler, &program, config, &mut fault)?;
     println!("== {name} under {} ==", run.config);
     if !run.is_complete() {
@@ -783,9 +668,11 @@ fn cmd_run(target: &str, opts: &Options) -> Result<(), PpError> {
     finish(fault)
 }
 
-fn cmd_hot(target: &str, opts: &Options) -> Result<(), PpError> {
-    let (name, program) = load_target(target, opts.scale)?;
-    let profiler = opts.profiler();
+fn cmd_hot(args: &Args) -> Result<(), PpError> {
+    let [target] = args.operands()?;
+    let (name, program) = load_target(target, args.scale())?;
+    let profiler = args.profiler();
+    let threshold = args.threshold();
     let mut fault = None;
     let run = profiled(
         &profiler,
@@ -797,11 +684,11 @@ fn cmd_hot(target: &str, opts: &Options) -> Result<(), PpError> {
     )?;
     let flow = run.flow.as_ref().expect("flow profile");
     let inst = run.instrumented.as_ref().expect("manifest");
-    let paths = analysis::hot_paths(flow, opts.threshold);
+    let paths = analysis::hot_paths(flow, threshold);
     println!(
         "== {name}: {} hot paths (>= {:.2}% of {} misses) cover {:.1}% ==",
         paths.hot.len(),
-        100.0 * opts.threshold,
+        100.0 * threshold,
         paths.total_miss,
         100.0 * paths.hot_miss_fraction()
     );
@@ -824,7 +711,7 @@ fn cmd_hot(target: &str, opts: &Options) -> Result<(), PpError> {
             p.class
         );
     }
-    let procs = analysis::hot_procedures(flow, &program, opts.threshold);
+    let procs = analysis::hot_procedures(flow, &program, threshold);
     let hot: Vec<&analysis::ProcStat> = procs.hot.iter().collect();
     println!(
         "\n{} hot procedures cover {:.1}% of misses (avg {:.1} paths each)",
@@ -835,9 +722,10 @@ fn cmd_hot(target: &str, opts: &Options) -> Result<(), PpError> {
     finish(fault)
 }
 
-fn cmd_report(target: &str, opts: &Options) -> Result<(), PpError> {
-    let (name, program) = load_target(target, opts.scale)?;
-    let profiler = opts.profiler();
+fn cmd_report(args: &Args) -> Result<(), PpError> {
+    let [target] = args.operands()?;
+    let (name, program) = load_target(target, args.scale())?;
+    let profiler = args.profiler();
     let mut fault = None;
     let base = profiled(&profiler, &program, RunConfig::Base, &mut fault)?;
     println!("================================================================");
@@ -883,7 +771,7 @@ fn cmd_report(target: &str, opts: &Options) -> Result<(), PpError> {
     )?;
     let flow = run.flow.as_ref().expect("profile");
     let inst = run.instrumented.as_ref().expect("manifest");
-    let paths = analysis::hot_paths(flow, opts.threshold);
+    let paths = analysis::hot_paths(flow, args.threshold());
     println!(
         "
 -- hot paths ({} of {} executed cover {:.1}% of misses) --",
@@ -901,7 +789,7 @@ fn cmd_report(target: &str, opts: &Options) -> Result<(), PpError> {
             p.class
         );
     }
-    let procs = analysis::hot_procedures(flow, &program, opts.threshold);
+    let procs = analysis::hot_procedures(flow, &program, args.threshold());
     let hot_refs: Vec<&analysis::ProcStat> = procs.hot.iter().collect();
     println!(
         "
@@ -964,18 +852,14 @@ fn cmd_report(target: &str, opts: &Options) -> Result<(), PpError> {
     finish(fault)
 }
 
-fn cmd_cct(target: &str, opts: &Options) -> Result<(), PpError> {
-    let (name, program) = load_target(target, opts.scale)?;
-    let profiler = opts.profiler();
+fn cmd_cct(args: &Args) -> Result<(), PpError> {
+    let [target] = args.operands()?;
+    let config = RunConfig::CombinedHw {
+        events: args.events()?,
+    };
+    let (name, program) = load_target(target, args.scale())?;
     let mut fault = None;
-    let run = profiled(
-        &profiler,
-        &program,
-        RunConfig::CombinedHw {
-            events: opts.events,
-        },
-        &mut fault,
-    )?;
+    let run = profiled(&args.profiler(), &program, config, &mut fault)?;
     let cct = run.cct.as_ref().expect("cct");
     let stats = CctStats::compute(cct);
     println!("== calling context tree of {name} ==");
@@ -999,7 +883,7 @@ fn cmd_cct(target: &str, opts: &Options) -> Result<(), PpError> {
             cct.num_overflow_records()
         );
     }
-    if let Some(path) = &opts.out {
+    if let Some(path) = args.str("--out") {
         let mut file = std::fs::File::create(path).map_err(|e| PpError::io(path, e))?;
         pp::cct::write_cct(cct, &mut file)?;
         println!("wrote profile to {path}");
@@ -1011,13 +895,17 @@ fn cmd_cct(target: &str, opts: &Options) -> Result<(), PpError> {
 /// profile's statistics; handed a workload it runs the overhead
 /// accounting (per-phase wall times, internals metrics, and the
 /// instrumented-vs-base dilation table — the paper's Table 5 analogue).
-fn cmd_stats(arg: &str, opts: &Options) -> Result<(), PpError> {
+fn cmd_stats(args: &Args) -> Result<(), PpError> {
+    let [arg] = args.operands()?;
+    // Unlike most commands, stats defaults to the combined pipeline so
+    // the report covers the CCT and path tables too.
+    let config = args.run_config("combined")?;
     match sniff_stats_input(arg) {
         StatsInput::CctProfile => cmd_stats_file(arg),
         StatsInput::Opaque(reason) => Err(PpError::Integrity(IntegrityError::Artifact(
             SerializeError::Format(format!("{arg}: {reason}")),
         ))),
-        StatsInput::Target => cmd_stats_overhead(arg, opts),
+        StatsInput::Target => cmd_stats_overhead(arg, config, args),
     }
 }
 
@@ -1104,14 +992,14 @@ fn cmd_stats_file(path: &str) -> Result<(), PpError> {
 /// where the time goes (tracing spans), what the internals did (the
 /// metrics registry), and how much each hardware metric dilated — the
 /// reproduction's analogue of the paper's Table 5 methodology.
-fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
+fn cmd_stats_overhead(target: &str, config: RunConfig, args: &Args) -> Result<(), PpError> {
     // The per-phase table needs spans whether or not --trace was given.
     pp::obs::trace::enable(true);
     let _ = pp::obs::trace::take_events(); // start from a clean buffer
 
     let (name, program) = {
         let _span = pp::obs::span!("load");
-        load_target(target, opts.scale)?
+        load_target(target, args.scale())?
     };
     {
         let _span = pp::obs::span!("verify");
@@ -1121,18 +1009,10 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
 
     // A conservative safety-net deadline: accounting runs are long, and
     // without a bound a wedged guest would hang the command forever.
-    let profiler = opts
+    let profiler = args
         .profiler()
-        .with_limits(opts.guest_limits(ACCOUNTING_DEADLINE_S));
-    // Unlike the other commands, stats defaults to the combined pipeline
-    // so the report covers the CCT and path tables too.
-    let config = if opts.config_set {
-        run_config(opts)?
-    } else {
-        RunConfig::CombinedHw {
-            events: opts.events,
-        }
-    };
+        .with_limits(args.guest_limits(ACCOUNTING_DEADLINE_S));
+    let events = args.events()?;
     let mut fault = None;
 
     // The uninstrumented baseline, wall-timed.
@@ -1161,7 +1041,7 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
     // Post-run analyses, each its own phase.
     if let Some(flow) = &run.flow {
         let _span = pp::obs::span!("path_regen");
-        let _ = analysis::hot_paths(flow, opts.threshold);
+        let _ = analysis::hot_paths(flow, args.threshold());
     }
     if let Some(cct) = &run.cct {
         let _span = pp::obs::span!("cct_stats");
@@ -1181,7 +1061,8 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
 
     println!(
         "== pp stats: {name} under {} (scale {}) ==",
-        run.config, opts.scale
+        run.config,
+        args.scale()
     );
     if !run.is_complete() {
         println!("(partial profile: the run was aborted)");
@@ -1200,7 +1081,7 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
     // The dilation table.
     let dilation = |b: f64, i: f64| if b > 0.0 { i / b } else { 0.0 };
     let mut events_of_interest = vec![HwEvent::Cycles, HwEvent::Insts];
-    for ev in [opts.events.0, opts.events.1] {
+    for ev in [events.0, events.1] {
         if !events_of_interest.contains(&ev) {
             events_of_interest.push(ev);
         }
@@ -1245,12 +1126,12 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
     println!("\n-- internals metrics --");
     print!("{}", reg.snapshot());
 
-    if let Some(path) = &opts.out {
+    if let Some(path) = args.str("--out") {
         let json = stats_json(
             &name,
             &run,
             &base,
-            opts,
+            (args.scale(), events),
             (base_wall, inst_wall, obs_overhead),
             &phases,
             &reg,
@@ -1263,19 +1144,19 @@ fn cmd_stats_overhead(target: &str, opts: &Options) -> Result<(), PpError> {
     let mut all_events = setup_events;
     all_events.extend_from_slice(&base_events);
     all_events.extend_from_slice(&run_events);
-    emit_trace(opts, &all_events, dropped)?;
+    emit_trace(args, &all_events, dropped)?;
     finish(fault)
 }
 
 /// Renders the machine-readable form of the overhead report (`pp stats
-/// --out`); the schema round-trips through `pp::obs::json`. The tuple
-/// holds the base and instrumented wall seconds and the observation
-/// overhead.
+/// --out`); the schema round-trips through `pp::obs::json`. The tuples
+/// hold the scale and counter pair, and the base and instrumented wall
+/// seconds and the observation overhead.
 fn stats_json(
     name: &str,
     run: &RunOutcome,
     base: &RunOutcome,
-    opts: &Options,
+    (scale, events): (f64, (HwEvent, HwEvent)),
     (base_wall, inst_wall, obs_overhead): (f64, f64, f64),
     phases: &std::collections::BTreeMap<&'static str, u64>,
     reg: &pp::obs::Registry,
@@ -1287,7 +1168,7 @@ fn stats_json(
         dilation(base.machine.uops as f64, run.machine.uops as f64),
     )];
     let mut events_of_interest = vec![HwEvent::Cycles, HwEvent::Insts];
-    for ev in [opts.events.0, opts.events.1] {
+    for ev in [events.0, events.1] {
         if !events_of_interest.contains(&ev) {
             events_of_interest.push(ev);
         }
@@ -1304,7 +1185,7 @@ fn stats_json(
     let doc = Json::Obj(vec![
         ("target".to_string(), Json::Str(name.to_string())),
         ("config".to_string(), Json::Str(run.config.to_string())),
-        ("scale".to_string(), Json::Num(opts.scale)),
+        ("scale".to_string(), Json::Num(scale)),
         ("complete".to_string(), Json::Bool(run.is_complete())),
         (
             "wall".to_string(),
@@ -1329,25 +1210,25 @@ fn stats_json(
 /// the collapsed flamegraph stacks to stderr. `dropped` is the ring
 /// buffer's overflow count; both renderings surface it so a truncated
 /// trace never reads as a complete one.
-fn emit_trace(opts: &Options, events: &[pp::obs::SpanEvent], dropped: u64) -> Result<(), PpError> {
-    if let Some(path) = &opts.trace_out {
+fn emit_trace(args: &Args, events: &[pp::obs::SpanEvent], dropped: u64) -> Result<(), PpError> {
+    if let Some(path) = args.str("--trace-out") {
         let json = pp::obs::trace::chrome_trace(events, dropped);
         std::fs::write(path, json).map_err(|e| PpError::io(path, e))?;
         pp::obs::info!("wrote {} trace events to {path}", events.len());
     }
-    if opts.trace {
+    if args.on("--trace") {
         eprint!("{}", pp::obs::trace::collapsed_stacks(events, dropped));
     }
     Ok(())
 }
 
-fn cmd_annotate(target: &str, proc_name: &str, opts: &Options) -> Result<(), PpError> {
-    let (_, program) = load_target(target, opts.scale)?;
+fn cmd_annotate(args: &Args) -> Result<(), PpError> {
+    let [target, proc_name] = args.operands()?;
+    let (_, program) = load_target(target, args.scale())?;
     let pid = find_proc(&program, proc_name)?;
-    let profiler = opts.profiler();
     let mut fault = None;
     let run = profiled(
-        &profiler,
+        &args.profiler(),
         &program,
         RunConfig::FlowHw {
             events: (HwEvent::Insts, HwEvent::DcMiss),
@@ -1370,13 +1251,9 @@ fn cmd_annotate(target: &str, proc_name: &str, opts: &Options) -> Result<(), PpE
     finish(fault)
 }
 
-fn cmd_decode(
-    target: &str,
-    proc_name: &str,
-    sum_text: &str,
-    opts: &Options,
-) -> Result<(), PpError> {
-    let (_, program) = load_target(target, opts.scale)?;
+fn cmd_decode(args: &Args) -> Result<(), PpError> {
+    let [target, proc_name, sum_text] = args.operands()?;
+    let (_, program) = load_target(target, args.scale())?;
     let pid = find_proc(&program, proc_name)?;
     let sum: u64 = sum_text.parse().map_err(|_| usage_err("bad path sum"))?;
     let paths = pp::pathprof::ProcPaths::analyze(program.procedure(pid))
@@ -1404,50 +1281,6 @@ fn cmd_decode(
     Ok(())
 }
 
-fn usage() -> &'static str {
-    "usage: pp <list|run|report|hot|cct|stats|merge|verify|annotate|decode|bench|batch|serve|submit|status|watch|fetch|chaos> [target] [options]\n\
-     run `pp list` to see the benchmark suite; see crate docs for options\n\
-     batch: --jobs N --retries N --fuel N --deadline S --seed N --quarantine-cap N\n\
-            --checkpoint-dir DIR | --resume DIR  --inject hang@I,corrupt@I,...\n\
-     merge: <shards|dirs...> --out FILE [--strict] [--checkpoint-every N]\n\
-            [--checkpoint-dir DIR | --resume DIR] [--inject halt@N] [--metrics]\n\
-     serve: --socket PATH [--listen HOST:PORT] --checkpoint-dir DIR --jobs N\n\
-            --queue-cap N --quota N --max-conns N --idle-timeout S --io-timeout S\n\
-            --checkpoint-every N --quarantine-cap N --inject-every panic=N,corrupt=N\n\
-     submit: <target> --socket ADDR [--client NAME] [--wait] [--timeout S]\n\
-             [--retries N] [--seed N]   (ADDR: path | unix:PATH | tcp:HOST:PORT)\n\
-     status: [job-id] --socket ADDR [--wait-idle] [--metrics] [--prom] [--timeout S]\n\
-     watch: --socket ADDR [--job ID] [--client NAME] [--events k1,k2] [--since SEQ]\n\
-            [--json] [--deadline S]\n\
-     chaos: --listen HOST:PORT --upstream ADDR [--seed N]\n\
-            [--plan ok,delay:MS,throttle:N,tear:K,reset:M,blackhole]\n\
-     verify: <profile|checkpoint-dir|target> [--against TARGET] [--clobber-pics READ]\n\
-     observability: --trace, --trace-out FILE, --quiet (also PP_TRACE, PP_LOG)\n\
-     exit codes: 0 ok, 1 usage, 2 aborted run or integrity violation,\n\
-                 3 i/o or corrupt profile, 4 service unavailable\n\
-                 (overloaded/quota/draining/unreachable)"
-}
-
-/// The client-verb options shared by `pp submit`, `pp status`, and
-/// `pp watch`.
-#[cfg(unix)]
-fn client_args(opts: &Options) -> serve_cmd::ClientArgs {
-    serve_cmd::ClientArgs {
-        socket: opts.socket.clone(),
-        client: opts.client.clone(),
-        dir: opts
-            .checkpoint_dir
-            .clone()
-            .unwrap_or_else(|| "pp-serve-state".to_string()),
-        wait: opts.wait,
-        wait_idle: opts.wait_idle,
-        deadline_s: opts.deadline,
-        timeout_s: opts.timeout,
-        retries: opts.retries,
-        seed: opts.seed,
-    }
-}
-
 /// `println!` panics when stdout is a closed pipe (`pp list | head`);
 /// detect that payload so we can die quietly like any Unix filter.
 fn is_broken_pipe(payload: &(dyn std::any::Any + Send)) -> bool {
@@ -1459,204 +1292,32 @@ fn is_broken_pipe(payload: &(dyn std::any::Any + Send)) -> bool {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
-        eprintln!("{}", usage());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(verb) = argv.first() else {
+        eprintln!("{}", usage(None));
         return ExitCode::from(1);
     };
     let run = || -> Result<(), PpError> {
-        let (positional, mut opts) = parse_options(&cmd, &args[1..])?;
-        // `pp watch` reads `--events` as an event-kind filter; everyone
-        // else as the hardware-counter pair.
-        if cmd != "watch" {
-            if let Some(spec) = &opts.events_spec {
-                let (a, b) = spec
-                    .split_once(',')
-                    .ok_or_else(|| usage_err("--events expects `ev0,ev1`"))?;
-                opts.events = (parse_event(a.trim())?, parse_event(b.trim())?);
-            }
-        }
-        if opts.quiet {
+        let mut args = Args::parse(verb, &argv[1..])?;
+        if args.on("--quiet") {
             pp::obs::log::set_level(pp::obs::Level::Quiet);
         }
         pp::obs::trace::init_from_env();
         if pp::obs::trace::enabled() {
-            opts.trace = true; // PP_TRACE=1 behaves exactly like --trace
+            // PP_TRACE=1 behaves exactly like --trace.
+            args.given.insert("--trace", String::new());
         }
-        if opts.trace || opts.trace_out.is_some() {
+        if args.on("--trace") || args.on("--trace-out") {
             pp::obs::trace::enable(true);
         }
-        let result = match (cmd.as_str(), positional.as_slice()) {
-            ("list", _) => {
-                cmd_list();
-                Ok(())
-            }
-            ("run", [t]) => cmd_run(t, &opts),
-            ("report", [t]) => cmd_report(t, &opts),
-            ("hot", [t]) => cmd_hot(t, &opts),
-            ("cct", [t]) => cmd_cct(t, &opts),
-            ("stats", [f]) => cmd_stats(f, &opts),
-            ("verify", [t]) => {
-                // Like stats/batch, verify defaults to the combined
-                // pipeline so every artifact class gets exercised.
-                let config = if opts.config_set {
-                    run_config(&opts)?
-                } else {
-                    RunConfig::CombinedHw {
-                        events: opts.events,
-                    }
-                };
-                verify_cmd::run_verify(&verify_cmd::VerifyArgs {
-                    target: t.clone(),
-                    against: opts.against.clone(),
-                    clobber_pics: opts.clobber_pics,
-                    config,
-                    scale: opts.scale,
-                    cct_cap: opts.cct_cap,
-                    profiler: opts.profiler(),
-                })
-            }
-            ("merge", inputs) => merge_cmd::run_merge_cmd(&merge_cmd::MergeArgs {
-                inputs: inputs.to_vec(),
-                out: opts.out.clone(),
-                strict: opts.strict,
-                checkpoint_dir: opts.resume.clone().or_else(|| opts.checkpoint_dir.clone()),
-                resume: opts.resume.is_some(),
-                checkpoint_every: opts.checkpoint_every,
-                inject: opts.inject.clone(),
-                metrics: opts.metrics,
-            }),
-            ("annotate", [t, p]) => cmd_annotate(t, p, &opts),
-            ("decode", [t, p, s]) => cmd_decode(t, p, s, &opts),
-            ("bench", []) => bench_cmd::run_bench(&bench_cmd::BenchArgs {
-                scale: opts.scale,
-                smoke: opts.smoke,
-                out: opts.out.clone(),
-                events: opts.events,
-                repeat: opts.repeat,
-                limits: opts.guest_limits(ACCOUNTING_DEADLINE_S),
-                check: opts.check.clone(),
-                tolerance: opts.tolerance,
-                emit_meta: opts.emit_meta.clone(),
-            }),
-            ("batch", targets) => {
-                // Batch defaults to the combined pipeline so checkpoints
-                // carry both the flow and the CCT profile.
-                let (config, config_name) = if opts.config_set {
-                    (run_config(&opts)?, opts.config.clone())
-                } else {
-                    (
-                        RunConfig::CombinedHw {
-                            events: opts.events,
-                        },
-                        "combined".to_string(),
-                    )
-                };
-                batch_cmd::run_batch(&batch_cmd::BatchArgs {
-                    targets: targets.to_vec(),
-                    config,
-                    config_name,
-                    scale: opts.scale,
-                    workers: opts.jobs,
-                    retries: opts.retries,
-                    seed: opts.seed,
-                    fuel: opts.fuel.unwrap_or(batch_cmd::DEFAULT_FUEL),
-                    deadline_s: opts.deadline,
-                    checkpoint_dir: opts.resume.clone().or_else(|| opts.checkpoint_dir.clone()),
-                    resume: opts.resume.is_some(),
-                    inject: opts.inject.clone(),
-                    quarantine_cap: opts.quarantine_cap,
-                    profiler: opts.profiler(),
-                })
-            }
-            #[cfg(unix)]
-            ("serve", []) => serve_cmd::run_serve(&serve_cmd::ServeArgs {
-                socket: opts.socket.clone(),
-                listen: opts.listen.clone(),
-                dir: opts
-                    .checkpoint_dir
-                    .clone()
-                    .unwrap_or_else(|| "pp-serve-state".to_string()),
-                workers: opts.jobs,
-                queue_cap: opts.queue_cap,
-                quota: opts.quota,
-                max_conns: opts.max_conns,
-                idle_timeout_s: opts.idle_timeout,
-                io_timeout_s: opts.io_timeout,
-                retries: opts.retries,
-                seed: opts.seed,
-                checkpoint_every: opts.checkpoint_every,
-                quarantine_cap: opts.quarantine_cap,
-                inject_every: opts.inject_every.clone(),
-                fuel: opts.fuel.unwrap_or(batch_cmd::DEFAULT_FUEL),
-                deadline_s: opts.deadline,
-                profiler: opts.profiler(),
-            }),
-            #[cfg(unix)]
-            ("submit", [t]) => {
-                // Like batch, service jobs default to the combined
-                // pipeline so artifacts carry flow and CCT profiles.
-                let config_name = if opts.config_set {
-                    opts.config.clone()
-                } else {
-                    "combined".to_string()
-                };
-                serve_cmd::run_submit(
-                    &client_args(&opts),
-                    t,
-                    opts.scale,
-                    &config_name,
-                    opts.events,
-                )
-            }
-            #[cfg(unix)]
-            ("status", []) => {
-                serve_cmd::run_status(&client_args(&opts), None, opts.metrics, opts.prom)
-            }
-            #[cfg(unix)]
-            ("status", [id]) => {
-                let id = id
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad job id `{id}`")))?;
-                serve_cmd::run_status(&client_args(&opts), Some(id), opts.metrics, opts.prom)
-            }
-            #[cfg(unix)]
-            ("fetch", []) => serve_cmd::run_fetch(&client_args(&opts), None, opts.out.as_deref()),
-            #[cfg(unix)]
-            ("fetch", [name]) => {
-                serve_cmd::run_fetch(&client_args(&opts), Some(name), opts.out.as_deref())
-            }
-            ("chaos", []) => {
-                let listen = opts
-                    .listen
-                    .clone()
-                    .ok_or_else(|| usage_err("pp chaos needs --listen HOST:PORT"))?;
-                let upstream = opts
-                    .upstream
-                    .clone()
-                    .ok_or_else(|| usage_err("pp chaos needs --upstream ADDR"))?;
-                chaos_cmd::run_chaos(&listen, &upstream, &opts.plan, opts.seed)
-            }
-            #[cfg(unix)]
-            ("watch", []) => serve_cmd::run_watch(
-                &client_args(&opts),
-                &serve_cmd::WatchArgs {
-                    job: opts.job,
-                    client_filter: opts.client_set.then(|| opts.client.clone()),
-                    kinds: opts.events_spec.clone(),
-                    since: opts.since,
-                    json: opts.json,
-                },
-            ),
-            _ => Err(PpError::Usage(usage().to_string())),
-        };
+        let result = (args.handler)(&args);
         // Spans a command recorded but did not render itself (`pp
         // stats` drains its own buffer, so this is a no-op there).
         let (events, dropped) = pp::obs::trace::take_events();
         let trace_result = if events.is_empty() && dropped == 0 {
             Ok(())
         } else {
-            emit_trace(&opts, &events, dropped)
+            emit_trace(&args, &events, dropped)
         };
         if dropped > 0 {
             pp::obs::warn!("trace buffer dropped {dropped} oldest spans");
@@ -1684,5 +1345,107 @@ fn main() -> ExitCode {
             ExitCode::from(141)
         }
         Err(payload) => std::panic::resume_unwind(payload),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(verb: &str, argv: &[&str]) -> Result<Args, PpError> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        Args::parse(verb, &argv)
+    }
+
+    /// A value `rule` accepts; `None` for a switch.
+    fn valid(rule: Rule) -> Option<&'static str> {
+        match rule {
+            Switch => None,
+            Str => Some("x"),
+            U64 | U32 | Count => Some("1"),
+            NonNeg | Scale | Fraction => Some("0.5"),
+        }
+    }
+
+    // The service verbs are dispatched on Unix only.
+    #[cfg(unix)]
+    #[test]
+    fn flag_table_names_only_dispatched_verbs() {
+        for (i, f) in FLAGS.iter().enumerate() {
+            assert!(f.name.starts_with("--"), "{}", f.name);
+            assert_eq!(f.metavar.is_empty(), f.rule == Switch, "{}", f.name);
+            assert!(!f.help.is_empty(), "{} has no help line", f.name);
+            assert!(
+                FLAGS[..i].iter().all(|g| g.name != f.name),
+                "{} is declared twice",
+                f.name
+            );
+            for verb in f.verbs.split(' ') {
+                assert!(
+                    verb == "*" || VERBS.iter().any(|v| v.0 == verb),
+                    "{} names `{verb}`, which is not a dispatched verb",
+                    f.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_dispatched_verb_has_a_usage_line() {
+        let all = usage(None);
+        for &(verb, ..) in VERBS {
+            assert!(all.contains(&format!("\n  pp {verb}:")), "{verb}: {all}");
+            let own = usage(Some(verb));
+            assert!(own.starts_with(&format!("usage:\n  pp {verb}:")), "{own}");
+            assert_eq!(own.matches("\n  pp ").count(), 1, "{own}");
+        }
+        assert!(parse("definitely-not-a-verb", &[]).is_err());
+    }
+
+    #[test]
+    fn each_flag_parses_on_its_verbs_and_is_refused_elsewhere() {
+        for f in FLAGS {
+            let argv: Vec<&str> = std::iter::once(f.name).chain(valid(f.rule)).collect();
+            for &(verb, ..) in VERBS {
+                match parse(verb, &argv) {
+                    Ok(args) => {
+                        assert!(f.read_by(verb), "`pp {verb}` took {}", f.name);
+                        assert_eq!(
+                            args.given.get(f.name).map(String::as_str),
+                            Some(valid(f.rule).unwrap_or(""))
+                        );
+                    }
+                    Err(e) => {
+                        assert!(!f.read_by(verb), "`pp {verb}` refused {}: {e}", f.name);
+                        assert!(e.to_string().contains("does not take"), "{e}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn values_must_pass_their_rule() {
+        for (verb, flag, bad) in [
+            ("run", "--scale", &["0", "-1", "nan", "inf", "x"][..]),
+            ("hot", "--threshold", &["nan", "-3", "1.5", "inf"]),
+            ("batch", "--jobs", &["0", "-1", "4294967296"]),
+            ("run", "--cct-cap", &["-1", "4294967296", "1.5"]),
+            ("run", "--fuel", &["-1", "18446744073709551616"]),
+            ("run", "--deadline", &["-1", "inf", "nan"]),
+            ("bench", "--tolerance", &["-0.1", "nan"]),
+        ] {
+            for value in bad {
+                let e = parse(verb, &[flag, value]).err();
+                let e = e.map(|e| e.to_string()).unwrap_or_default();
+                assert!(
+                    e.starts_with(&format!("bad {flag} value `{value}`")),
+                    "{flag} {value}: {e}"
+                );
+            }
+        }
+        let args = parse("hot", &["t", "--threshold", "1", "--scale", "1e-3"]).expect("valid");
+        assert_eq!((args.threshold(), args.scale()), (1.0, 1e-3));
+        assert!(parse("run", &["--scale"]).is_err_and(|e| e.to_string().contains("needs a value")));
     }
 }

@@ -12,26 +12,7 @@ use pp::profiler::supervisor::manifest::write_atomic;
 use pp::profiler::{PpError, ProfileRef};
 use std::path::{Path, PathBuf};
 
-/// Everything `pp merge` needs from the command line.
-pub struct MergeArgs {
-    /// Shard files and/or checkpoint directories to fold.
-    pub inputs: Vec<String>,
-    /// `--out FILE` — where the fleet profile lands (required).
-    pub out: Option<String>,
-    /// `--strict` — first bad shard fails the merge (exit 3).
-    pub strict: bool,
-    /// `--checkpoint-dir DIR` / `--resume DIR`.
-    pub checkpoint_dir: Option<String>,
-    /// Was `--resume` (rather than `--checkpoint-dir`) given?
-    pub resume: bool,
-    /// `--checkpoint-every N` shards between checkpoint commits.
-    pub checkpoint_every: u32,
-    /// `--inject halt@N` — die (abort, no cleanup) right after the N-th
-    /// checkpoint commit; the crash-recovery tests' kill -9 stand-in.
-    pub inject: Option<String>,
-    /// `--metrics` — dump the merge's own metrics registry.
-    pub metrics: bool,
-}
+use crate::Args;
 
 /// The only `--inject` token `pp merge` understands is `halt@N`; the
 /// richer batch vocabulary (panic/transient/corrupt) targets job
@@ -56,26 +37,26 @@ fn parse_inject(spec: &str) -> Result<u32, PpError> {
 /// Usage errors for a missing `--out` or a bad `--inject`; otherwise
 /// whatever [`pp::profiler::merge::run_merge`] or the final profile
 /// write surfaces.
-pub fn run_merge_cmd(args: &MergeArgs) -> Result<(), PpError> {
+pub fn run_merge_cmd(args: &Args) -> Result<(), PpError> {
     let out = args
-        .out
-        .as_deref()
+        .str("--out")
         .ok_or_else(|| PpError::Usage("pp merge needs --out FILE for the fleet profile".into()))?;
-    let halt = args.inject.as_deref().map(parse_inject).transpose()?;
-    if halt.is_some() && args.checkpoint_dir.is_none() {
+    let (checkpoint_dir, resume) = args.checkpoint()?;
+    let halt = args.str("--inject").map(parse_inject).transpose()?;
+    if halt.is_some() && checkpoint_dir.is_none() {
         return Err(PpError::Usage(
             "--inject halt@N needs --checkpoint-dir (nothing would survive the halt)".into(),
         ));
     }
     let opts = MergeOptions {
-        strict: args.strict,
-        checkpoint_dir: args.checkpoint_dir.as_ref().map(PathBuf::from),
-        checkpoint_every: args.checkpoint_every,
-        resume: args.resume,
+        strict: args.on("--strict"),
+        checkpoint_dir: checkpoint_dir.map(PathBuf::from),
+        checkpoint_every: args.get("--checkpoint-every").unwrap_or(8),
+        resume,
         halt_after_checkpoints: halt.unwrap_or(0),
     };
     let mut registry = pp::obs::Registry::new();
-    let report = match pp::profiler::merge::run_merge(&args.inputs, &opts, &mut registry)? {
+    let report = match pp::profiler::merge::run_merge(&args.operands, &opts, &mut registry)? {
         MergeOutcome::Halted { report } => {
             // The kill -9 stand-in: no destructors, no flushing — the
             // checkpoint on disk is all a resumed merge gets, exactly
@@ -93,7 +74,7 @@ pub fn run_merge_cmd(args: &MergeArgs) -> Result<(), PpError> {
             report
         }
     };
-    if args.metrics {
+    if args.on("--metrics") {
         println!("{}", registry.snapshot());
     }
     let quarantined = report.quarantined_count();
@@ -146,33 +127,19 @@ mod tests {
         }
     }
 
+    fn merge(argv: &[&str]) -> Result<(), PpError> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        run_merge_cmd(&Args::parse("merge", &argv)?)
+    }
+
     #[test]
     fn missing_out_is_a_usage_error() {
-        let args = MergeArgs {
-            inputs: vec!["whatever.cct".to_string()],
-            out: None,
-            strict: false,
-            checkpoint_dir: None,
-            resume: false,
-            checkpoint_every: 8,
-            inject: None,
-            metrics: false,
-        };
-        assert!(matches!(run_merge_cmd(&args), Err(PpError::Usage(_))));
+        assert!(matches!(merge(&["whatever.cct"]), Err(PpError::Usage(_))));
     }
 
     #[test]
     fn halt_without_checkpoint_dir_is_refused() {
-        let args = MergeArgs {
-            inputs: vec!["whatever.cct".to_string()],
-            out: Some("out.cct".to_string()),
-            strict: false,
-            checkpoint_dir: None,
-            resume: false,
-            checkpoint_every: 8,
-            inject: Some("halt@1".to_string()),
-            metrics: false,
-        };
-        assert!(matches!(run_merge_cmd(&args), Err(PpError::Usage(_))));
+        let argv = ["whatever.cct", "--out", "out.cct", "--inject", "halt@1"];
+        assert!(matches!(merge(&argv), Err(PpError::Usage(_))));
     }
 }

@@ -38,115 +38,49 @@ use pp::obs::json::Json;
 use pp::profiler::server;
 use pp::profiler::transport::refusal_error;
 use pp::profiler::{
-    BindAddr, Client, ClientConfig, Listener, PpError, ProfileRef, Profiler, RetryPolicy,
-    ServerConfig, Service, ServiceConfig, ServiceFaultPlan,
+    BindAddr, Client, ClientConfig, Listener, PpError, ProfileRef, RetryPolicy, ServerConfig,
+    Service, ServiceConfig, ServiceFaultPlan,
 };
 use pp::usim::{CancelToken, GuestLimits};
 
-/// Options the CLI hands to [`run_serve`].
-pub struct ServeArgs {
-    /// Unix-domain socket path to bind.
-    pub socket: String,
-    /// Optional TCP listen address (`--listen host:port`; `:0` picks an
-    /// ephemeral port, reported on stdout).
-    pub listen: Option<String>,
-    /// Service state directory (intake journal, checkpoints, artifacts).
-    pub dir: String,
-    /// Worker thread count (`--jobs`).
-    pub workers: usize,
-    /// Admission queue capacity (`--queue-cap`).
-    pub queue_cap: usize,
-    /// Per-client in-flight quota (`--quota`; 0 = unlimited).
-    pub quota: usize,
-    /// Concurrent-connection cap (`--max-conns`; 0 = unlimited).
-    pub max_conns: usize,
-    /// Idle-connection timeout in seconds (`--idle-timeout`; 0 = off).
-    pub idle_timeout_s: f64,
-    /// Per-frame/per-write deadline in seconds (`--io-timeout`; 0 = off).
-    pub io_timeout_s: f64,
-    /// Transient-failure retry budget per job (`--retries`).
-    pub retries: u32,
-    /// Backoff-jitter seed (`--seed`).
-    pub seed: u64,
-    /// Terminal states between checkpoints (`--checkpoint-every`).
-    pub checkpoint_every: u32,
-    /// Quarantine rotation cap (`--quarantine-cap`; 0 = unbounded).
-    pub quarantine_cap: usize,
-    /// Periodic fault injection (`--inject-every`), for soak tests.
-    pub inject_every: Option<String>,
-    /// Per-job µop budget (`--fuel`).
-    pub fuel: u64,
-    /// Per-job wall-clock deadline in seconds (`--deadline`).
-    pub deadline_s: Option<f64>,
-    /// The base profiler from the shared options.
-    pub profiler: Profiler,
+use crate::batch_cmd::DEFAULT_FUEL;
+use crate::{Args, Rule};
+
+/// The daemon address when `--socket` is absent.
+const DEFAULT_SOCKET: &str = "pp.sock";
+
+/// The service state directory when `--checkpoint-dir` is absent.
+const DEFAULT_STATE_DIR: &str = "pp-serve-state";
+
+fn socket(args: &Args) -> &str {
+    args.str("--socket").unwrap_or(DEFAULT_SOCKET)
 }
 
-/// Options for the client verbs ([`run_submit`], [`run_status`],
-/// [`run_watch`]).
-pub struct ClientArgs {
-    /// Address of the `pp serve` daemon: a socket path, `unix:PATH`,
-    /// `tcp:HOST:PORT`, or a bare `HOST:PORT`.
-    pub socket: String,
-    /// Client name for quota accounting (`--client`).
-    pub client: String,
-    /// Service state directory (`--checkpoint-dir`), for the offline
-    /// `pp status` fallback.
-    pub dir: String,
-    /// Block until the submitted job is terminal (`--wait`).
-    pub wait: bool,
-    /// Block until the server is idle (`--wait-idle`).
-    pub wait_idle: bool,
-    /// Wait budget in seconds (`--deadline`; default 600).
-    pub deadline_s: Option<f64>,
-    /// Per-reply deadline in seconds (`--timeout`; default 30).
-    pub timeout_s: Option<f64>,
-    /// Reconnect/retry budget (`--retries`).
-    pub retries: u32,
-    /// Retry-jitter seed (`--seed`).
-    pub seed: u64,
+/// How long `--wait`, `--wait-idle` and `pp watch` block (`--deadline`;
+/// default 600 s).
+fn wait_budget(args: &Args) -> Duration {
+    Duration::from_secs_f64(args.get("--deadline").filter(|d| *d > 0.0).unwrap_or(600.0))
 }
 
-/// Options for `pp watch` beyond the shared [`ClientArgs`].
-#[derive(Default)]
-pub struct WatchArgs {
-    /// Only this job's events (`--job`).
-    pub job: Option<u64>,
-    /// Only this submitting client's events (`--client` when it was
-    /// given explicitly — the default client name is not a filter).
-    pub client_filter: Option<String>,
-    /// Comma-separated event kinds (`--events`), e.g. `done,retrying`.
-    pub kinds: Option<String>,
-    /// Replay retained history from this sequence number (`--since`).
-    pub since: Option<u64>,
-    /// Emit raw NDJSON frames instead of the human tail (`--json`).
-    pub json: bool,
+/// The per-reply deadline (`--timeout`; default 30 s).
+fn op_timeout(args: &Args) -> Duration {
+    Duration::from_secs_f64(args.get("--timeout").filter(|t| *t > 0.0).unwrap_or(30.0))
 }
 
-impl ClientArgs {
-    fn wait_budget(&self) -> Duration {
-        Duration::from_secs_f64(self.deadline_s.filter(|d| *d > 0.0).unwrap_or(600.0))
-    }
-
-    fn op_timeout(&self) -> Duration {
-        Duration::from_secs_f64(self.timeout_s.filter(|t| *t > 0.0).unwrap_or(30.0))
-    }
-
-    /// The one shared client every verb speaks through.
-    fn open(&self) -> Client {
-        Client::new(
-            BindAddr::parse(&self.socket),
-            ClientConfig {
-                op_timeout: self.op_timeout(),
-                tick: Duration::from_millis(250),
-                retry: RetryPolicy {
-                    attempts: self.retries,
-                    seed: self.seed,
-                    ..RetryPolicy::default()
-                },
+/// The one shared client every client verb speaks through.
+fn open_client(args: &Args) -> Client {
+    Client::new(
+        BindAddr::parse(socket(args)),
+        ClientConfig {
+            op_timeout: op_timeout(args),
+            tick: Duration::from_millis(250),
+            retry: RetryPolicy {
+                attempts: args.get("--retries").unwrap_or(2),
+                seed: args.get("--seed").unwrap_or(0),
+                ..RetryPolicy::default()
             },
-        )
-    }
+        },
+    )
 }
 
 /// Parses `--inject-every panic=N,transient=N,corrupt=N` (any subset).
@@ -194,31 +128,23 @@ pub fn spec_resolver() -> pp::profiler::SpecResolver {
         let mut target = None;
         let mut scale = 1.0f64;
         let mut config = "combined".to_string();
-        let mut events = (HwEvent::Insts, HwEvent::DcMiss);
+        let mut events = crate::DEFAULT_EVENTS;
         for token in spec.split_whitespace() {
             let (k, v) = token
                 .split_once('=')
                 .ok_or_else(|| format!("spec token `{token}` needs key=value"))?;
             match k {
                 "target" => target = Some(v.to_string()),
-                "scale" => scale = v.parse().map_err(|_| format!("bad scale `{v}`"))?,
-                "config" => config = v.to_string(),
-                "events" => {
-                    let (a, b) = v
-                        .split_once(',')
-                        .ok_or_else(|| format!("events `{v}` need `ev0,ev1`"))?;
-                    events = (
-                        crate::parse_event(a).map_err(|e| e.to_string())?,
-                        crate::parse_event(b).map_err(|e| e.to_string())?,
-                    );
+                "scale" => {
+                    Rule::Scale.check("scale", v).map_err(|e| e.to_string())?;
+                    scale = v.parse().expect("checked by Rule::Scale");
                 }
+                "config" => config = v.to_string(),
+                "events" => events = crate::parse_events(v).map_err(|e| e.to_string())?,
                 other => return Err(format!("unknown spec key `{other}`")),
             }
         }
         let target = target.ok_or("spec lacks target=")?;
-        if !(scale.is_finite() && scale > 0.0) {
-            return Err(format!("bad scale {scale}"));
-        }
         let (_, program) = crate::load_target(&target, scale).map_err(|e| e.to_string())?;
         let run_config = crate::config_by_name(&config, events).map_err(|e| e.to_string())?;
         Ok((program, run_config))
@@ -233,40 +159,45 @@ pub fn spec_resolver() -> pp::profiler::SpecResolver {
 /// [`PpError::Io`] for socket or checkpoint failures;
 /// [`PpError::Usage`]/[`PpError::Corrupt`] when recovery refuses the
 /// state directory (foreign campaign, torn journal, lying manifest).
-pub fn run_serve(args: &ServeArgs) -> Result<(), PpError> {
-    let fault_plan = parse_inject_every(args.inject_every.as_deref())?;
+pub fn run_serve(args: &Args) -> Result<(), PpError> {
+    args.operands::<0>()?;
+    let inject_every = args.str("--inject-every");
+    let fault_plan = parse_inject_every(inject_every)?;
+    let fuel = args.get("--fuel").unwrap_or(DEFAULT_FUEL);
+    let deadline_s: Option<f64> = args.get("--deadline");
     // Everything that changes what a job computes goes into the params
     // tag; recovery refuses a state directory written under different
     // parameters. (config/scale/events live in each job's spec.)
     let params = format!(
-        "service fuel={} deadline={} inject={}",
-        args.fuel,
-        args.deadline_s.unwrap_or(0.0),
-        args.inject_every.as_deref().unwrap_or("-"),
+        "service fuel={fuel} deadline={} inject={}",
+        deadline_s.unwrap_or(0.0),
+        inject_every.unwrap_or("-"),
     );
-    let mut limits = GuestLimits::none().with_fuel(args.fuel);
-    if let Some(d) = args.deadline_s.filter(|d| *d > 0.0) {
+    let mut limits = GuestLimits::none().with_fuel(fuel);
+    if let Some(d) = deadline_s.filter(|d| *d > 0.0) {
         limits = limits.with_deadline(Duration::from_secs_f64(d));
     }
+    let socket = socket(args);
+    let dir = args.str("--checkpoint-dir").unwrap_or(DEFAULT_STATE_DIR);
+    let workers = args.workers();
+    let queue_cap = args.get("--queue-cap").unwrap_or(64);
+    let quota = args.get("--quota").unwrap_or(0);
+    let max_conns = args.get("--max-conns").unwrap_or(64);
+    let seed = args.get("--seed").unwrap_or(0);
     let config = ServiceConfig {
-        workers: args.workers,
-        queue_capacity: args.queue_cap,
-        per_client_quota: args.quota,
-        max_retries: args.retries,
-        seed: args.seed,
+        workers,
+        queue_capacity: queue_cap,
+        per_client_quota: quota,
+        max_retries: args.get("--retries").unwrap_or(2),
+        seed,
         params,
-        checkpoint_every: args.checkpoint_every,
-        quarantine_cap: args.quarantine_cap,
+        checkpoint_every: args.get("--checkpoint-every").unwrap_or(8),
+        quarantine_cap: args.get("--quarantine-cap").unwrap_or(0),
         fault_plan,
         ..ServiceConfig::default()
     };
-    let profiler = args.profiler.clone().with_limits(limits);
-    let service = Arc::new(Service::start(
-        config,
-        profiler,
-        spec_resolver(),
-        &args.dir,
-    )?);
+    let profiler = args.profiler().with_limits(limits);
+    let service = Arc::new(Service::start(config, profiler, spec_resolver(), dir)?);
 
     // First signal: stop accepting, drain, checkpoint. Second: also
     // cancel the running guests.
@@ -275,29 +206,29 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), PpError> {
 
     // One Listener per transport behind the same accept loop (the bind
     // removes a stale socket file a killed daemon left behind).
-    let unix_addr = BindAddr::parse(&args.socket);
-    let mut listeners = vec![Listener::bind(&unix_addr).map_err(|e| PpError::io(&args.socket, e))?];
-    if let Some(listen) = &args.listen {
+    let unix_addr = BindAddr::parse(socket);
+    let mut listeners = vec![Listener::bind(&unix_addr).map_err(|e| PpError::io(socket, e))?];
+    if let Some(listen) = args.str("--listen") {
         let tcp_addr = BindAddr::parse(listen);
         listeners.push(Listener::bind(&tcp_addr).map_err(|e| PpError::io(listen, e))?);
     }
     let (queued, running, done, failed) = service.counts();
     println!(
         "== pp serve: {} on {} workers (queue {}, quota {}, max-conns {}, seed {}) ==",
-        args.socket,
-        args.workers,
-        args.queue_cap,
-        if args.quota == 0 {
+        socket,
+        workers,
+        queue_cap,
+        if quota == 0 {
             "unlimited".to_string()
         } else {
-            args.quota.to_string()
+            quota.to_string()
         },
-        if args.max_conns == 0 {
+        if max_conns == 0 {
             "unlimited".to_string()
         } else {
-            args.max_conns.to_string()
+            max_conns.to_string()
         },
-        args.seed,
+        seed,
     );
     // The actual bound addresses, so scripts and tests can discover an
     // ephemeral `--listen :0` port.
@@ -312,9 +243,9 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), PpError> {
     }
 
     let server_config = ServerConfig {
-        max_conns: args.max_conns,
-        idle_timeout: Duration::from_secs_f64(args.idle_timeout_s.max(0.0)),
-        io_timeout: Duration::from_secs_f64(args.io_timeout_s.max(0.0)),
+        max_conns,
+        idle_timeout: Duration::from_secs_f64(args.get("--idle-timeout").unwrap_or(300.0)),
+        io_timeout: Duration::from_secs_f64(args.get("--io-timeout").unwrap_or(10.0)),
         ..ServerConfig::default()
     };
     server::run_accept_loop(&service, &listeners, &server_config, &graceful);
@@ -331,8 +262,7 @@ pub fn run_serve(args: &ServeArgs) -> Result<(), PpError> {
     print!("{}", registry.snapshot());
     println!(
         "serve stopped: {done} done, {failed} failed, {pending} pending \
-         (pending jobs re-queue on the next `pp serve` over {})",
-        args.dir
+         (pending jobs re-queue on the next `pp serve` over {dir})",
     );
     Ok(())
 }
@@ -362,18 +292,17 @@ fn print_job_row(job: &Json) {
 ///
 /// [`PpError::Unavailable`] (exit 4) for typed admission refusals and
 /// for an unreachable or unresponsive daemon on either transport.
-pub fn run_submit(
-    args: &ClientArgs,
-    target: &str,
-    scale: f64,
-    config: &str,
-    events: (HwEvent, HwEvent),
-) -> Result<(), PpError> {
-    let spec = spec_string(target, scale, config, events);
-    let mut client = args.open();
+pub fn run_submit(args: &Args) -> Result<(), PpError> {
+    let [target] = args.operands()?;
+    // Like batch, service jobs default to the combined pipeline so
+    // artifacts carry flow and CCT profiles.
+    let config = args.str("--config").unwrap_or("combined");
+    let spec = spec_string(target, args.scale(), config, args.events()?);
+    let client_name = args.str("--client").unwrap_or("cli");
+    let mut client = open_client(args);
     let reply = client.request_once(&Json::Obj(vec![
         ("op".to_string(), Json::Str("submit".to_string())),
-        ("client".to_string(), Json::Str(args.client.clone())),
+        ("client".to_string(), Json::Str(client_name.to_string())),
         ("name".to_string(), Json::Str(target.to_string())),
         ("spec".to_string(), Json::Str(spec)),
     ]))?;
@@ -381,9 +310,9 @@ pub fn run_submit(
         return Err(refusal_error(&reply));
     }
     let id = reply.get("id").and_then(Json::as_f64).unwrap_or(-1.0);
-    println!("submitted job {id} ({target}) as client {}", args.client);
-    if args.wait {
-        let budget = args.wait_budget();
+    println!("submitted job {id} ({target}) as client {client_name}");
+    if args.on("--wait") {
+        let budget = wait_budget(args);
         // The server blocks up to the whole budget before replying, so
         // the read deadline must outlast it — not the per-op timeout.
         let reply = client.request_deadline(
@@ -401,7 +330,7 @@ pub fn run_submit(
         let state = job.get("state").and_then(Json::as_str).unwrap_or("?");
         if !matches!(state, "done" | "failed") {
             return Err(PpError::io(
-                &args.socket,
+                socket(args),
                 std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
                     format!("job {id} still {state} after the wait budget"),
@@ -422,10 +351,11 @@ pub fn run_submit(
 /// the stream tears/stalls; [`PpError::Corrupt`] (exit 3) when the
 /// reassembled bytes fail the advertised CRC; typed refusals map as
 /// usual.
-pub fn run_fetch(args: &ClientArgs, name: Option<&str>, out: Option<&str>) -> Result<(), PpError> {
-    let mut client = args.open();
+pub fn run_fetch(args: &Args) -> Result<(), PpError> {
+    let name = args.optional_operand()?;
+    let mut client = open_client(args);
     let (file, bytes) = client.fetch(name)?;
-    let dest = out.unwrap_or(&file);
+    let dest = args.str("--out").unwrap_or(&file);
     std::fs::write(dest, &bytes).map_err(|e| PpError::io(dest, e))?;
     let r = ProfileRef::for_bytes(file.clone(), &bytes);
     let chunks = bytes.len().div_ceil(server::FETCH_CHUNK_RAW);
@@ -491,16 +421,16 @@ fn merged_profile_line(dir: &Path) {
 /// The offline `pp status` path: when no daemon answers on the socket,
 /// report the last checkpointed state from the service directory —
 /// clearly labeled as stale, never dressed up as live.
-fn status_from_disk(args: &ClientArgs) -> Result<(), PpError> {
+fn status_from_disk(args: &Args, dir: &str) -> Result<(), PpError> {
     use pp::profiler::service::JOURNAL_FILE;
-    let dir = Path::new(&args.dir);
-    let manifest = pp::profiler::BatchManifest::load(dir).map_err(PpError::Corrupt)?;
-    let intake_lines = std::fs::read_to_string(dir.join(JOURNAL_FILE))
+    let path = Path::new(dir);
+    let manifest = pp::profiler::BatchManifest::load(path).map_err(PpError::Corrupt)?;
+    let intake_lines = std::fs::read_to_string(path.join(JOURNAL_FILE))
         .map(|s| s.lines().filter(|l| !l.trim().is_empty()).count())
         .unwrap_or(0);
     println!(
-        "daemon not reachable on {}; stale state from last checkpoint in {}:",
-        args.socket, args.dir
+        "daemon not reachable on {}; stale state from last checkpoint in {dir}:",
+        socket(args)
     );
     println!(
         "{:>6} {:<20} {:<8} {:>8} {:>12} {:>12}  detail",
@@ -522,8 +452,8 @@ fn status_from_disk(args: &ClientArgs) -> Result<(), PpError> {
         "\nphase: unknown (stale) | {pending} pending, {done} done, {failed} failed \
          | {intake_lines} journaled admissions",
     );
-    merged_profile_line(dir);
-    println!("start `pp serve` over {} for live state", args.dir);
+    merged_profile_line(path);
+    println!("start `pp serve` over {dir} for live state");
     Ok(())
 }
 
@@ -537,21 +467,25 @@ fn status_from_disk(args: &ClientArgs) -> Result<(), PpError> {
 /// [`PpError::Unavailable`] (exit 4) when the daemon is unreachable and
 /// the request needs one (single job, `--wait-idle`, metrics);
 /// [`PpError::Io`] (exit 3) when the wait budget expires.
-pub fn run_status(
-    args: &ClientArgs,
-    id: Option<u64>,
-    metrics: bool,
-    prom: bool,
-) -> Result<(), PpError> {
-    let mut client = args.open();
+pub fn run_status(args: &Args) -> Result<(), PpError> {
+    let id: Option<u64> = args
+        .optional_operand()?
+        .map(|id| {
+            id.parse()
+                .map_err(|_| PpError::Usage(format!("bad job id `{id}`")))
+        })
+        .transpose()?;
+    let (wait_idle, prom) = (args.on("--wait-idle"), args.on("--prom"));
+    let dir = args.str("--checkpoint-dir").unwrap_or(DEFAULT_STATE_DIR);
+    let mut client = open_client(args);
     if let Err(e) = client.connect() {
         // Only the plain table view has a meaningful offline answer.
-        if id.is_none() && !args.wait_idle && !metrics && !prom {
-            return status_from_disk(args);
+        if id.is_none() && !wait_idle && !args.on("--metrics") && !prom {
+            return status_from_disk(args, dir);
         }
         return Err(e);
     }
-    if metrics || prom {
+    if args.on("--metrics") || prom {
         let reply = client.request(&Json::Obj(vec![(
             "op".to_string(),
             Json::Str("metrics".to_string()),
@@ -566,8 +500,8 @@ pub fn run_status(
         }
         return Ok(());
     }
-    if args.wait_idle {
-        let deadline = std::time::Instant::now() + args.wait_budget();
+    if wait_idle {
+        let deadline = std::time::Instant::now() + wait_budget(args);
         loop {
             // Each poll blocks server-side for up to 10 s; read under a
             // deadline that outlasts that, not the per-op timeout.
@@ -584,7 +518,7 @@ pub fn run_status(
             }
             if std::time::Instant::now() >= deadline {
                 return Err(PpError::io(
-                    &args.socket,
+                    socket(args),
                     std::io::Error::new(
                         std::io::ErrorKind::TimedOut,
                         "server still busy after the wait budget",
@@ -643,7 +577,7 @@ pub fn run_status(
             if let Some(metrics) = reply.get("metrics") {
                 println!("metrics: {}", metrics.render());
             }
-            merged_profile_line(Path::new(&args.dir));
+            merged_profile_line(Path::new(dir));
         }
     }
     Ok(())
@@ -714,35 +648,37 @@ fn frame_line(frame: &Json) -> String {
 ///
 /// [`PpError::Unavailable`] (exit 4) when the daemon is unreachable;
 /// [`PpError::Usage`] (exit 1) when the server refuses the filter.
-pub fn run_watch(args: &ClientArgs, watch: &WatchArgs) -> Result<(), PpError> {
+pub fn run_watch(args: &Args) -> Result<(), PpError> {
+    args.operands::<0>()?;
     let mut fields = vec![("op".to_string(), Json::Str("subscribe".to_string()))];
-    if let Some(job) = watch.job {
+    if let Some(job) = args.get::<u64>("--job") {
         fields.push(("job".to_string(), Json::Num(job as f64)));
     }
-    if let Some(client) = &watch.client_filter {
-        fields.push(("client".to_string(), Json::Str(client.clone())));
+    // `--events` is a kind filter here, e.g. `done,retrying`.
+    for (flag, key) in [("--client", "client"), ("--events", "events")] {
+        if let Some(value) = args.str(flag) {
+            fields.push((key.to_string(), Json::Str(value.to_string())));
+        }
     }
-    if let Some(kinds) = &watch.kinds {
-        fields.push(("events".to_string(), Json::Str(kinds.clone())));
-    }
-    if let Some(since) = watch.since {
+    if let Some(since) = args.get::<u64>("--since") {
         fields.push(("since".to_string(), Json::Num(since as f64)));
     }
-    let mut client = args.open();
+    let json = args.on("--json");
+    let mut client = open_client(args);
     let ack = client.request(&Json::Obj(fields))?;
     if ack.get("subscribed").and_then(Json::as_bool) != Some(true) {
         return Err(refusal_error(&ack));
     }
-    if !watch.json {
+    if !json {
         println!(
             "watching {} (phase {}, next seq {})",
-            args.socket,
+            socket(args),
             ack.get("phase").and_then(Json::as_str).unwrap_or("?"),
             ack.get("next_seq").and_then(Json::as_f64).unwrap_or(0.0),
         );
     }
     let budget = args
-        .deadline_s
+        .get::<f64>("--deadline")
         .filter(|d| *d > 0.0)
         .map(Duration::from_secs_f64);
     let started = std::time::Instant::now();
@@ -757,7 +693,7 @@ pub fn run_watch(args: &ClientArgs, watch: &WatchArgs) -> Result<(), PpError> {
         }
         match client.poll_stream_frame()? {
             Some(frame) => {
-                if watch.json {
+                if json {
                     println!("{}", frame.render());
                 } else {
                     println!("{}", frame_line(&frame));
@@ -801,6 +737,11 @@ mod tests {
         assert!(matches!(config, RunConfig::FlowHw { .. }));
         assert!(spec_resolver()("scale=1").is_err(), "missing target");
         assert!(spec_resolver()("target=129.compress config=nope").is_err());
+        // `scale=` is held to the same rule as the CLI's `--scale`.
+        for bad in ["0", "-1", "nan", "inf"] {
+            let e = spec_resolver()(&format!("target=129.compress scale={bad}")).err();
+            assert!(e.is_some_and(|e| e.starts_with("bad scale value")), "{bad}");
+        }
     }
 
     #[test]
@@ -822,19 +763,11 @@ mod tests {
 
     #[test]
     fn client_args_build_the_shared_client() {
-        let args = ClientArgs {
-            socket: "tcp:127.0.0.1:7777".to_string(),
-            client: "cli".to_string(),
-            dir: "pp-serve-state".to_string(),
-            wait: false,
-            wait_idle: false,
-            deadline_s: None,
-            timeout_s: Some(2.5),
-            retries: 4,
-            seed: 9,
-        };
-        assert_eq!(args.op_timeout(), Duration::from_secs_f64(2.5));
-        let client = args.open();
+        let argv = "--socket tcp:127.0.0.1:7777 --timeout 2.5 --retries 4 --seed 9";
+        let argv: Vec<String> = argv.split(' ').map(String::from).collect();
+        let args = Args::parse("status", &argv).expect("status takes these flags");
+        assert_eq!(op_timeout(&args), Duration::from_secs_f64(2.5));
+        let client = open_client(&args);
         assert_eq!(
             client.addr(),
             &BindAddr::Tcp("127.0.0.1:7777".to_string()),

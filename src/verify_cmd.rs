@@ -37,32 +37,12 @@ use pp::profiler::{
 };
 use pp::usim::FaultPlan;
 
+use crate::Args;
+
 /// The counter values a `--clobber-pics` injection plants: just below
 /// the 32-bit wrap, so the next interval delta explodes past any honest
 /// total.
 const CLOBBER_VALUES: (u32, u32) = (u32::MAX - 10, u32::MAX - 5);
-
-/// Options the CLI hands to [`run_verify`].
-pub struct VerifyArgs {
-    /// What to verify: profile file, checkpoint directory, or target.
-    pub target: String,
-    /// Workload the flow profile was collected from (`--against`);
-    /// required for flow-conservation checks on `.flow` files.
-    pub against: Option<String>,
-    /// Seed an unreconcilable counter clobber at this read index
-    /// (`--clobber-pics`; target mode only).
-    pub clobber_pics: Option<u64>,
-    /// Pipeline configuration for target mode.
-    pub config: RunConfig,
-    /// Workload scale factor.
-    pub scale: f64,
-    /// CCT record cap (`--cct-cap`), mirrored into the hashed parity
-    /// run so both storage strategies degrade identically.
-    pub cct_cap: u32,
-    /// The base profiler (machine config, CCT cap) from the shared
-    /// options.
-    pub profiler: Profiler,
-}
 
 /// What kind of artifact a file's magic says it is.
 enum ArtifactKind {
@@ -94,8 +74,12 @@ fn sniff_magic(path: &Path) -> Option<ArtifactKind> {
 /// Runs the verification and reports: every violation on stdout, then
 /// `verify: OK` or a typed [`PpError::Integrity`] (exit code 2) built
 /// from the first violation.
-pub fn run_verify(args: &VerifyArgs) -> Result<(), PpError> {
-    let path = Path::new(&args.target);
+pub fn run_verify(args: &Args) -> Result<(), PpError> {
+    let [target] = args.operands()?;
+    // Like stats and batch, verify defaults to the combined pipeline so
+    // every artifact class gets exercised.
+    let config = args.run_config("combined")?;
+    let path = Path::new(target);
     let (what, report) = if path.is_dir() {
         // A directory can hold a batch/service checkpoint (PPBAT01
         // manifest) or a merge checkpoint (PPMRG01 manifest); a batch
@@ -103,40 +87,40 @@ pub fn run_verify(args: &VerifyArgs) -> Result<(), PpError> {
         // a service dir is derived from the batch artifacts.
         if !path.join("manifest.ppb").is_file() && path.join(merge::MERGE_MANIFEST_FILE).is_file() {
             (
-                format!("merge checkpoint directory {}", args.target),
+                format!("merge checkpoint directory {}", target),
                 verify_merge_dir(path)?,
             )
         } else {
             (
-                format!("checkpoint directory {}", args.target),
+                format!("checkpoint directory {}", target),
                 verify_checkpoint_dir(path)?,
             )
         }
     } else {
         match sniff_magic(path) {
             Some(ArtifactKind::Flow) => (
-                format!("flow profile {}", args.target),
+                format!("flow profile {}", target),
                 verify_flow_file(path, args)?,
             ),
-            Some(ArtifactKind::Cct) => (
-                format!("CCT profile {}", args.target),
-                verify_cct_file(path)?,
-            ),
+            Some(ArtifactKind::Cct) => (format!("CCT profile {}", target), verify_cct_file(path)?),
             Some(ArtifactKind::Manifest) => {
                 let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
                 (
-                    format!("batch manifest {}", args.target),
+                    format!("batch manifest {}", target),
                     verify_checkpoint_dir(dir.unwrap_or(Path::new(".")))?,
                 )
             }
             Some(ArtifactKind::MergeManifest) => {
                 let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
                 (
-                    format!("merge manifest {}", args.target),
+                    format!("merge manifest {}", target),
                     verify_merge_dir(dir.unwrap_or(Path::new(".")))?,
                 )
             }
-            None => (format!("target {}", args.target), verify_target(args)?),
+            None => (
+                format!("target {target}"),
+                verify_target(target, config, args)?,
+            ),
         }
     };
     println!(
@@ -175,10 +159,10 @@ fn verify_cct_file(path: &Path) -> Result<IntegrityReport, PpError> {
 /// Verifies a serialized flow profile. With `--against`, the full
 /// flow-conservation walk runs against the named program; without it
 /// only the envelope is checkable (conservation needs the CFG).
-fn verify_flow_file(path: &Path, args: &VerifyArgs) -> Result<IntegrityReport, PpError> {
+fn verify_flow_file(path: &Path, args: &Args) -> Result<IntegrityReport, PpError> {
     let bytes = read_bytes(path)?;
-    if let Some(target) = &args.against {
-        let (_, program) = crate::load_target(target, args.scale)?;
+    if let Some(target) = args.str("--against") {
+        let (_, program) = crate::load_target(target, args.scale())?;
         return Ok(integrity::verify_flow_bytes(&program, &bytes));
     }
     pp::obs::warn!(
@@ -353,10 +337,10 @@ fn verify_merge_dir(dir: &Path) -> Result<IntegrityReport, PpError> {
 /// Target mode: run the pipeline live and verify the outcome against
 /// the machine's ground truth, plus the serialized round-trips and the
 /// Section 4.2 dense/hashed boundary.
-fn verify_target(args: &VerifyArgs) -> Result<IntegrityReport, PpError> {
-    let (name, program) = crate::load_target(&args.target, args.scale)?;
-    let mut profiler = args.profiler.clone();
-    if let Some(read) = args.clobber_pics {
+fn verify_target(target: &str, config: RunConfig, args: &Args) -> Result<IntegrityReport, PpError> {
+    let (name, program) = crate::load_target(target, args.scale())?;
+    let mut profiler = args.profiler();
+    if let Some(read) = args.get("--clobber-pics") {
         pp::obs::warn!("seeding a counter clobber at read {read} (expect a wrap violation)");
         profiler = profiler.with_fault_plan(FaultPlan::default().clobber_pics_at_read(
             read,
@@ -364,7 +348,7 @@ fn verify_target(args: &VerifyArgs) -> Result<IntegrityReport, PpError> {
             CLOBBER_VALUES.1,
         ));
     }
-    let run = profiler.run(&program, args.config)?;
+    let run = profiler.run(&program, config)?;
     if !run.is_complete() {
         pp::obs::warn!("{name}: run was cut short; verifying the partial profile");
     }
@@ -379,14 +363,14 @@ fn verify_target(args: &VerifyArgs) -> Result<IntegrityReport, PpError> {
         pp::cct::write_cct(cct, &mut bytes)?;
         report.merge(integrity::verify_cct_bytes(&bytes));
     }
-    if let RunConfig::CombinedHw { events } = args.config {
+    if let RunConfig::CombinedHw { events } = config {
         if let Some(dense) = &run.cct {
             report.merge(compare_against_hashed(
                 &profiler,
                 &program,
-                args.config,
+                config,
                 events,
-                args.cct_cap,
+                args.get("--cct-cap").unwrap_or(0),
                 dense,
             )?);
         }

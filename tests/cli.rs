@@ -898,3 +898,73 @@ fn verbs_reject_flags_they_never_read() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+/// Every verb that reads `--scale` holds it to one rule: finite and
+/// greater than 0. `--threshold` must be a fraction in [0, 1].
+/// Out-of-range values are usage errors, never silently run.
+#[test]
+fn out_of_range_values_are_usage_errors() {
+    for args in [
+        &["run", "129.compress", "--scale", "0"][..],
+        &["run", "129.compress", "--scale", "-1"],
+        &["run", "129.compress", "--scale", "nan"],
+        &["run", "129.compress", "--scale", "inf"],
+        &["batch", "129.compress", "--scale", "0"],
+        &["submit", "129.compress", "--scale", "inf"],
+        &[
+            "hot",
+            "129.compress",
+            "--scale",
+            "0.05",
+            "--threshold",
+            "nan",
+        ],
+        &[
+            "hot",
+            "129.compress",
+            "--scale",
+            "0.05",
+            "--threshold",
+            "-3",
+        ],
+    ] {
+        let out = pp(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("bad --"), "{args:?}: {err}");
+    }
+}
+
+/// `--resume DIR` names the checkpoint directory itself, so a
+/// `--checkpoint-dir` naming another one is refused, not dropped.
+#[test]
+fn resume_with_another_checkpoint_dir_is_refused() {
+    let dir = std::env::temp_dir().join(format!("pp-cli-resumedir-{}", std::process::id()));
+    let (a, b) = (dir.join("a"), dir.join("b"));
+    let (a, b) = (a.to_str().expect("utf8"), b.to_str().expect("utf8"));
+    let out_file = dir.join("out.cct");
+    let out_file = out_file.to_str().expect("utf8");
+    for args in [
+        &["batch", "--resume", a, "--checkpoint-dir", b][..],
+        &[
+            "merge",
+            a,
+            "--out",
+            out_file,
+            "--resume",
+            a,
+            "--checkpoint-dir",
+            b,
+        ],
+    ] {
+        let out = pp(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("different directories"), "{args:?}: {err}");
+    }
+    // Both naming the same directory is no conflict: the resume goes
+    // ahead and finds no manifest there (I/O error, exit 3).
+    let out = pp(&["batch", "--quiet", "--resume", a, "--checkpoint-dir", a]);
+    assert_eq!(out.status.code(), Some(3));
+    std::fs::remove_dir_all(&dir).ok();
+}
